@@ -154,10 +154,10 @@ BENCHMARK(BM_InsertMetricsOff)
     ->MinTime(0.05);
 
 // Profiled vs unprofiled BGP evaluation. The zero-cost-when-off
-// contract (query/bgp.h): passing profile == nullptr must leave the
-// evaluator on its original code path, so profile:off tracks the
-// pre-profiling baseline within noise; profile:on pays per-probe clock
-// reads and per-pattern tallies on the profiled evaluator.
+// contract (query/bgp.h): passing profile == nullptr runs the unprofiled
+// instance of the one evaluation loop, which reads no clock, so
+// profile:off tracks the pre-profiling baseline within noise; profile:on
+// pays per-probe clock reads and per-pattern tallies.
 constexpr std::size_t kBgpTriples = 20000;
 
 void BgpEvalBody(benchmark::State& state, bool profiled,

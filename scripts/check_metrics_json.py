@@ -10,7 +10,7 @@ Checks (see docs/observability.md "Export formats"):
   * every histogram carries count/sum_ns/max_ns/sample_shift, ordered
     percentiles and well-formed buckets;
   * every slow-query entry carries the full phase/row/q-error breakdown,
-    phases that sum to total_ns, and a q-error >= 1;
+    phases that sum to at most total_ns, and a q-error >= 1;
   * the dump is not hollow: the delta and epoch counter families have
     nonzero entries, the trace retained events — and with --require-wal
     (the CI metrics-smoke job, which churns a durable store) the WAL
@@ -139,16 +139,15 @@ def main(argv):
                 errors.append(
                     f"slow query entry missing keys {sorted(missing)}")
                 break
-            # Pinned queries nest plan/eval inside pin_ns (total is
-            # parse + pin); unpinned ones have pin_ns == 0.
-            if entry["pin_ns"] > 0:
-                phases = entry["parse_ns"] + entry["pin_ns"]
-            else:
-                phases = (entry["parse_ns"] + entry["plan_ns"] +
-                          entry["eval_ns"])
-            if phases != entry["total_ns"]:
+            # The four phases are disjoint slices of the query (pin_ns
+            # is the read-handle acquisition alone), and total_ns is
+            # the wall time of the whole call, so they sum to at most
+            # total_ns.
+            phases = (entry["parse_ns"] + entry["pin_ns"] +
+                      entry["plan_ns"] + entry["eval_ns"])
+            if phases > entry["total_ns"]:
                 errors.append(f"slow query entry phases sum to {phases}, "
-                              f"total_ns is {entry['total_ns']}")
+                              f"above total_ns {entry['total_ns']}")
             if entry["max_q_error"] < 1.0:
                 errors.append(f"slow query entry max_q_error "
                               f"{entry['max_q_error']} below 1")

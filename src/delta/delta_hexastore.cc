@@ -642,9 +642,6 @@ void DeltaHexastore::RegisterMeters() {
                               "wait-free read-handle acquisition latency "
                               "(1-in-128 sampled)",
                               &meters_.handle_acquire_ns);
-  registry_.RegisterHistogram("hexa_merge_join_latency_ns",
-                              "merge-join step latency (1-in-128 sampled)",
-                              &meters_.merge_join_ns);
   registry_.RegisterHistogram("hexa_seal_latency_ns", "seal duration",
                               &meters_.seal_ns);
   registry_.RegisterHistogram("hexa_fold_latency_ns",

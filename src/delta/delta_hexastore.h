@@ -261,12 +261,6 @@ class DeltaHexastore : public TripleStore {
   /// registration mutex, never blocks on the compactor).
   bool DumpMetricsJson(const std::string& path) const;
 
-  /// Histogram timing the DeltaHexastore merge-join overloads (recorded
-  /// by query/merge_join.cc through this accessor).
-  obs::LatencyHistogram* merge_join_histogram() const {
-    return &meters_.merge_join_ns;
-  }
-
   // -- Pinned-generation reads --------------------------------------------
 
   /// An immutable view of one published {base, levels, active}
@@ -528,7 +522,6 @@ class DeltaHexastore : public TripleStore {
     obs::LatencyHistogram erase_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram contains_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram handle_acquire_ns{obs::kHotPathSampleShift};
-    obs::LatencyHistogram merge_join_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram seal_ns{0};
     obs::LatencyHistogram fold_ns{0};
     obs::LatencyHistogram base_merge_ns{0};

@@ -4,7 +4,11 @@
 // step substitutes the current binding into the next pattern and scans the
 // store with the resulting IdPattern, extending the binding per match. On
 // a Hexastore every such scan is a vector/list lookup and every first-step
-// pairwise join is a merge join by construction of the indexes.
+// pairwise join is a merge join by construction of the indexes (§4.2).
+//
+// This header holds the query layer's one evaluation loop and its one
+// compile → plan → eval sequence; query::Session (session.h) runs every
+// SPARQL query and bare BGP through them.
 #ifndef HEXASTORE_QUERY_BGP_H_
 #define HEXASTORE_QUERY_BGP_H_
 
@@ -12,10 +16,10 @@
 #include <vector>
 
 #include "core/store_interface.h"
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "query/binding.h"
 #include "query/pattern.h"
+#include "query/plan_cache.h"
 #include "query/profile.h"
 
 namespace hexastore {
@@ -29,35 +33,25 @@ using BindingSink = std::function<void(const Binding&)>;
 /// `profile`, when non-null, accumulates per-pattern probes, rows
 /// scanned/emitted and inclusive wall time into
 /// `profile->patterns[depth]` (sized to the order if the caller did not
-/// AttachPlan first). With nullptr the evaluation path is byte-for-byte
-/// the unprofiled one — no clock reads (pinned by
-/// bench/abl_obs_overhead.cc).
+/// AttachPlan first), and stops descending once `profile->deadline_ns`
+/// has passed. With nullptr the same loop is instantiated without any
+/// of that: no clock reads (pinned by bench/abl_obs_overhead.cc).
 void EvalBgp(const TripleStore& store, const CompiledBgp& bgp,
              const std::vector<std::size_t>& order, const BindingSink& sink,
              QueryProfile* profile = nullptr);
 
-/// Convenience: compile + plan + evaluate + materialize. With a profile,
-/// also records plan/eval phase times, the chosen plan (AttachPlan) and
-/// rows_out, and sets total_ns = parse_ns + plan_ns + eval_ns.
+/// Compile + plan + evaluate + materialize. The join order comes from
+/// `cache->Plan(store, bgp, stamp, ...)` when a cache is given (setting
+/// `*from_cache` on a hit), else from a fresh PlanBgp.
+///
+/// With a profile, also records the plan and eval phase times, the
+/// chosen plan (AttachPlan) and rows_out. total_ns is left alone: only a
+/// Session, which sees the whole query, sets it.
 ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
                   const std::vector<TriplePattern>& patterns,
-                  QueryProfile* profile = nullptr);
-
-/// Pinned-generation evaluation: takes one snapshot handle up front and
-/// runs planning (delta-aware EstimateMatches) plus every scan of the
-/// whole BGP against that single frozen generation — the query never
-/// touches the store mutex again and never observes a seal, fold or
-/// base merge moving a level underneath it, however long it runs.
-/// Equivalent to `EvalBgp(store.GetSnapshot(), dict, patterns)`.
-/// With a profile, `pin_ns` records how long the generation stayed
-/// pinned (here: the whole query, snapshot acquisition included).
-///
-/// DEPRECATED: the profiled path is a shim over query::Session with
-/// PinPolicy::kLinearizable; prefer Session::EvalBgp, which adds the
-/// plan cache, deadlines and sink aggregation.
-ResultSet EvalBgpPinned(const DeltaHexastore& store, const Dictionary& dict,
-                        const std::vector<TriplePattern>& patterns,
-                        QueryProfile* profile = nullptr);
+                  QueryProfile* profile = nullptr, PlanCache* cache = nullptr,
+                  const PlanCacheStamp& stamp = {},
+                  bool* from_cache = nullptr);
 
 }  // namespace hexastore
 

@@ -5,7 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "query/bgp.h"
+#include "query/pattern.h"
 
 namespace hexastore {
 
@@ -194,32 +194,19 @@ void ProfileSink::Record(const QueryProfile& profile,
 }
 
 std::string ExplainBgp(const TripleStore& store, const Dictionary& dict,
-                       const std::vector<TriplePattern>& patterns) {
+                       const std::vector<TriplePattern>& patterns,
+                       QueryKind kind) {
   CompiledBgp bgp = CompileBgp(patterns, dict);
   if (bgp.trivially_empty) {
-    return "plan: bgp, empty result (constant term not in dictionary)\n";
+    return std::string("plan: ") + QueryKindName(kind) +
+           ", empty result (constant term not in dictionary)\n";
   }
   PlanProfile plan;
   PlanBgp(store, bgp, &plan);
   QueryProfile profile;
-  profile.kind = QueryKind::kBgp;
+  profile.kind = kind;
   AttachPlan(bgp, dict, plan, &profile);
   return RenderExplain(profile);
-}
-
-std::string ExplainAnalyzeBgp(const TripleStore& store,
-                              const Dictionary& dict,
-                              const std::vector<TriplePattern>& patterns,
-                              QueryProfile* profile) {
-  QueryProfile local;
-  QueryProfile* p = profile != nullptr ? profile : &local;
-  p->Reset();
-  EvalBgp(store, dict, patterns, p);
-  if (!patterns.empty() && p->patterns.empty()) {
-    // CompileBgp found an unknown constant: nothing was planned or run.
-    return "plan: bgp, empty result (constant term not in dictionary)\n";
-  }
-  return RenderExplainAnalyze(*p);
 }
 
 std::string RenderExplain(const QueryProfile& profile) {

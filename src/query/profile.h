@@ -6,15 +6,17 @@
 // Contract:
 //
 //  - Every profiled entry point takes `QueryProfile* profile = nullptr`.
-//    With nullptr the hot path pays exactly one pointer test per
-//    operator — no clock reads, no allocation (pinned by
-//    bench/abl_obs_overhead.cc's eval_bgp series).
+//    With nullptr the BGP evaluation loop runs its unprofiled
+//    instantiation — no clock reads, no allocation (pinned by
+//    bench/abl_obs_overhead.cc's bgp_eval series).
 //  - With a profile, the planner records per-pattern estimates, chosen
 //    order and cardinality-probe counts; BGP evaluation records
 //    per-pattern probes, rows scanned/emitted and inclusive wall time;
-//    the SPARQL engine records parse/plan/eval phase times and
-//    post-BGP operator row counts; pinned evaluation records the
-//    generation-pin duration.
+//    query::Session records the parse, pin (handle acquisition only),
+//    plan and eval phases plus one operator per solution-modifier
+//    stage. The four phases are disjoint, and the Session sets
+//    total_ns once, to the wall time of the whole call, so
+//    parse + pin + plan + eval <= total.
 //  - A profile is single-query, single-thread state (plain fields, no
 //    atomics). Cross-query aggregation happens in ProfileSink, whose
 //    instruments are lock-free and shared-safe.
@@ -79,9 +81,9 @@ struct PatternProfile {
                                              ActualPerProbe()); }
 };
 
-/// One non-pattern operator (merge join, path step, filter, modifier).
+/// One non-pattern operator (path step, filter, modifier).
 struct OperatorProfile {
-  const char* name = "";  ///< static literal, e.g. "filter", "join_chain"
+  const char* name = "";  ///< static literal, e.g. "filter", "path_join"
   std::uint64_t rows_in = 0;
   std::uint64_t rows_out = 0;
   std::uint64_t wall_ns = 0;
@@ -96,8 +98,8 @@ struct QueryProfile {
   std::uint64_t parse_ns = 0;
   std::uint64_t plan_ns = 0;
   std::uint64_t eval_ns = 0;
-  std::uint64_t pin_ns = 0;    ///< generation held pinned (0 = unpinned)
-  std::uint64_t total_ns = 0;
+  std::uint64_t pin_ns = 0;    ///< read-handle acquisition (0 = unpinned)
+  std::uint64_t total_ns = 0;  ///< whole Session call; >= sum of phases
 
   // Planner accounting (the memoization satellite's pin).
   std::uint64_t estimate_probes = 0;  ///< EstimateCardinality store probes
@@ -110,9 +112,9 @@ struct QueryProfile {
   // operator boundary — each BGP probe and each solution-modifier stage
   // — against `deadline_ns` (an absolute obs::NowNanos() instant; 0
   // disables the check) and unwinds by setting `deadline_exceeded`
-  // instead of descending further. The nullptr-profile path stays
-  // byte-identical, so deadlines require profiled execution (Session
-  // always profiles).
+  // instead of descending further. The nullptr-profile path reads no
+  // clock, so deadlines require profiled execution (Session always
+  // profiles).
   std::uint64_t deadline_ns = 0;   ///< absolute cutoff; 0 = no deadline
   bool deadline_exceeded = false;  ///< evaluation stopped at the cutoff
 
@@ -170,19 +172,12 @@ void AttachPlan(const CompiledBgp& bgp, const Dictionary& dict,
                 const PlanProfile& plan, QueryProfile* profile);
 
 /// EXPLAIN for a BGP: compiles and plans `patterns` without evaluating
-/// them, and returns the rendered plan tree. Deterministic for a given
-/// store state (golden-tested in planner_test).
+/// them, and returns the rendered plan tree headed by `kind`'s name
+/// (Session::Explain passes kSparql for a query's BGP). Deterministic
+/// for a given store state (golden-tested in planner_test).
 std::string ExplainBgp(const TripleStore& store, const Dictionary& dict,
-                       const std::vector<TriplePattern>& patterns);
-
-/// EXPLAIN ANALYZE for a BGP: plans AND evaluates `patterns`, returning
-/// the plan annotated with actual probes/rows/q-error/timings. The
-/// result rows are discarded; pass `profile` to also keep the raw
-/// numbers (e.g. for sink recording or assertions).
-std::string ExplainAnalyzeBgp(const TripleStore& store,
-                              const Dictionary& dict,
-                              const std::vector<TriplePattern>& patterns,
-                              QueryProfile* profile = nullptr);
+                       const std::vector<TriplePattern>& patterns,
+                       QueryKind kind = QueryKind::kBgp);
 
 /// Renders a profile as the EXPLAIN plan tree (plan-time facts only:
 /// pattern order, index choice, bound positions, estimates, probe

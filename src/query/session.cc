@@ -7,8 +7,6 @@
 
 #include "query/bgp.h"
 #include "query/operators.h"
-#include "query/planner.h"
-#include "query/sparql_engine.h"
 
 namespace hexastore {
 namespace query {
@@ -206,7 +204,7 @@ Result<ResultSet> Aggregate(const ResultSet& in, const ParsedQuery& query) {
 // True when the profile carries an expired deadline; sets the flag so
 // every later boundary short-circuits without another clock read.
 bool DeadlineHit(QueryProfile* profile) {
-  if (profile == nullptr || profile->deadline_ns == 0) {
+  if (profile->deadline_ns == 0) {
     return false;
   }
   if (profile->deadline_exceeded) {
@@ -219,52 +217,10 @@ bool DeadlineHit(QueryProfile* profile) {
   return false;
 }
 
-}  // namespace
-
-namespace internal {
-
-ResultSet EvalBgpMaybeCached(const TripleStore& store,
-                             const Dictionary& dict,
-                             const std::vector<TriplePattern>& patterns,
-                             QueryProfile* profile, PlanCache* cache,
-                             const PlanCacheStamp& stamp, bool* from_cache) {
-  if (from_cache != nullptr) {
-    *from_cache = false;
-  }
-  if (cache == nullptr) {
-    // Legacy path, bit-for-bit: EvalBgp owns compile+plan+eval.
-    return hexastore::EvalBgp(store, dict, patterns, profile);
-  }
-  CompiledBgp bgp = CompileBgp(patterns, dict);
-  ResultSet result;
-  result.vars = bgp.vars;
-  if (bgp.trivially_empty) {
-    return result;
-  }
-  const BindingSink materialize = [&result](const Binding& b) {
-    result.rows.push_back(b.values());
-  };
-  if (profile == nullptr) {
-    std::vector<std::size_t> order =
-        cache->Plan(store, bgp, stamp, nullptr, from_cache);
-    hexastore::EvalBgp(store, bgp, order, materialize);
-    return result;
-  }
-  PlanProfile plan;
-  const std::uint64_t plan_start = obs::NowNanos();
-  std::vector<std::size_t> order =
-      cache->Plan(store, bgp, stamp, &plan, from_cache);
-  profile->plan_ns += obs::NowNanos() - plan_start;
-  AttachPlan(bgp, dict, plan, profile);
-  const std::uint64_t eval_start = obs::NowNanos();
-  hexastore::EvalBgp(store, bgp, order, materialize, profile);
-  profile->eval_ns += obs::NowNanos() - eval_start;
-  profile->rows_out += result.rows.size();
-  profile->total_ns =
-      profile->parse_ns + profile->plan_ns + profile->eval_ns;
-  return result;
-}
-
+// The query pipeline: BGP evaluation (through `cache` with `stamp` when
+// a cache is set), filters, aggregation, ORDER BY, projection, DISTINCT,
+// LIMIT. `from_cache` reports whether the join order was served by the
+// cache.
 Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
                                         const Dictionary& dict,
                                         const ParsedQuery& query,
@@ -273,10 +229,9 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
                                         const PlanCacheStamp& stamp,
                                         bool* from_cache) {
   // Records one solution-modifier stage; modifier time counts toward the
-  // eval phase (everything after parse+plan).
+  // eval phase (everything after plan).
   auto record_op = [&](const char* name, std::uint64_t rows_in,
                        std::uint64_t rows_out, std::uint64_t start_ns) {
-    if (profile == nullptr) return;
     OperatorProfile op;
     op.name = name;
     op.rows_in = rows_in;
@@ -285,30 +240,24 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     profile->eval_ns += op.wall_ns;
     profile->operators.push_back(op);
   };
-  auto op_start = [&]() -> std::uint64_t {
-    return profile != nullptr ? obs::NowNanos() : 0;
-  };
-  auto finish = [&](const ResultSet& r) {
-    if (profile == nullptr) return;
+  auto finish = [&](ResultSet r) {
     profile->rows_out = r.rows.size();
-    profile->total_ns =
-        profile->parse_ns + profile->plan_ns + profile->eval_ns;
+    return r;
   };
 
-  ResultSet result = EvalBgpMaybeCached(store, dict, query.patterns,
-                                        profile, cache, stamp, from_cache);
+  ResultSet result = hexastore::EvalBgp(store, dict, query.patterns, profile,
+                                        cache, stamp, from_cache);
 
   // A blown deadline stops the pipeline at the next operator boundary;
   // the Session surfaces it as DeadlineExceeded (partial rows are never
   // returned to callers).
   if (DeadlineHit(profile)) {
-    finish(result);
-    return result;
+    return finish(std::move(result));
   }
 
   // Filters.
   if (!query.filters.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     std::vector<Row> kept;
     kept.reserve(result.rows.size());
@@ -331,14 +280,13 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     result.rows = std::move(kept);
     record_op("filter", in_rows, result.rows.size(), t);
     if (DeadlineHit(profile)) {
-      finish(result);
-      return result;
+      return finish(std::move(result));
     }
   }
 
   // Aggregation replaces projection when present.
   if (!query.aggregates.empty() || !query.group_by.empty()) {
-    const std::uint64_t t_agg = op_start();
+    const std::uint64_t t_agg = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     auto aggregated = Aggregate(result, query);
     if (!aggregated.ok()) {
@@ -347,7 +295,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     result = std::move(aggregated).value();
     record_op("aggregate", in_rows, result.rows.size(), t_agg);
     if (!query.order_by.empty()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       Status s = SortByColumns(&result, dict, query.order_by);
       if (!s.ok()) {
         return s;
@@ -355,32 +303,30 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
       record_op("order_by", result.rows.size(), result.rows.size(), t);
     }
     if (query.limit.has_value()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       const std::uint64_t pre = result.rows.size();
       result = Limit(std::move(result), *query.limit);
       record_op("limit", pre, result.rows.size(), t);
     }
-    finish(result);
-    return result;
+    return finish(std::move(result));
   }
 
   // ORDER BY (before projection so sort keys need not be projected).
   if (!query.order_by.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     Status s = SortByColumns(&result, dict, query.order_by);
     if (!s.ok()) {
       return s;
     }
     record_op("order_by", result.rows.size(), result.rows.size(), t);
     if (DeadlineHit(profile)) {
-      finish(result);
-      return result;
+      return finish(std::move(result));
     }
   }
 
   // Projection.
   if (!query.select_vars.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     std::vector<VarId> cols;
     for (const auto& name : query.select_vars) {
       VarId col = result.vars.Lookup(name);
@@ -394,7 +340,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.distinct) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     bool had_order = !query.order_by.empty();
     result = Distinct(std::move(result));
@@ -416,16 +362,38 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.limit.has_value()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     result = Limit(std::move(result), *query.limit);
     record_op("limit", pre, result.rows.size(), t);
   }
-  finish(result);
-  return result;
+  return finish(std::move(result));
 }
 
-}  // namespace internal
+// EXPLAIN of a parsed query: the BGP plan (ExplainBgp) followed by the
+// solution-modifier stages in the order the pipeline applies them.
+std::string ExplainQuery(const TripleStore& store, const Dictionary& dict,
+                         const ParsedQuery& query) {
+  std::string out = ExplainBgp(store, dict, query.patterns, QueryKind::kSparql);
+  std::string stages;
+  if (!query.filters.empty()) stages += " filter";
+  if (!query.aggregates.empty() || !query.group_by.empty()) {
+    stages += " aggregate";
+    if (!query.order_by.empty()) stages += " order_by";
+    if (query.limit.has_value()) stages += " limit";
+  } else {
+    if (!query.order_by.empty()) stages += " order_by";
+    if (!query.select_vars.empty()) stages += " project";
+    if (query.distinct) stages += " distinct";
+    if (query.limit.has_value()) stages += " limit";
+  }
+  if (!stages.empty()) {
+    out += "modifiers:" + stages + "\n";
+  }
+  return out;
+}
+
+}  // namespace
 
 Session::Session(const DeltaHexastore& store, const Dictionary& dict,
                  SessionOptions options)
@@ -445,53 +413,46 @@ Session::Session(const TripleStore& store, const Dictionary& dict,
   options_.pin = PinPolicy::kNone;
 }
 
-Result<ResultSet> Session::Run(const ParsedQuery& query,
-                               std::string_view text, bool* from_cache) {
+template <typename Fn>
+auto Session::WithView(std::uint64_t* pin_ns, Fn&& fn) const {
+  // The handle is released when fn returns, outside the pin_ns window.
+  const bool linearizable = options_.pin == PinPolicy::kLinearizable;
+  if (options_.pin != PinPolicy::kNone && sharded_ != nullptr) {
+    const std::uint64_t start = obs::NowNanos();
+    const ShardedSnapshot snap = linearizable ? sharded_->GetSnapshot()
+                                              : sharded_->AcquireReadHandle();
+    *pin_ns = obs::NowNanos() - start;
+    return fn(snap, PlanCacheStamp(snap.StampVector()));
+  }
+  if (options_.pin != PinPolicy::kNone && delta_ != nullptr) {
+    const std::uint64_t start = obs::NowNanos();
+    const DeltaHexastore::Snapshot snap = linearizable
+                                              ? delta_->GetSnapshot()
+                                              : delta_->AcquireReadHandle();
+    *pin_ns = obs::NowNanos() - start;
+    return fn(snap, PlanCacheStamp{snap.epoch(), snap.staged_ops()});
+  }
+  *pin_ns = 0;
+  // Unpinned stores have no epoch; the size doubles as a weak staged-
+  // ops stamp (estimate probes catch what it misses).
+  return fn(plain_, PlanCacheStamp{0, plain_.size()});
+}
+
+Result<QueryResult> Session::Run(const ParsedQuery& query,
+                                 std::string_view text,
+                                 std::uint64_t start_ns) {
   if (options_.deadline_ns != 0) {
     profile_.deadline_ns = obs::NowNanos() + options_.deadline_ns;
   }
-  Result<ResultSet> result = Status::Internal("session: not executed");
-  const bool pinned = (delta_ != nullptr || sharded_ != nullptr) &&
-                      options_.pin != PinPolicy::kNone;
-  if (pinned && sharded_ != nullptr) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const ShardedSnapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? sharded_->GetSnapshot()
-              : sharded_->AcquireReadHandle();
-      const PlanCacheStamp stamp(snap.StampVector());
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
-    profile_.pin_ns = obs::NowNanos() - pin_start;
-    profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else if (pinned) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const DeltaHexastore::Snapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? delta_->GetSnapshot()
-              : delta_->AcquireReadHandle();
-      const PlanCacheStamp stamp{snap.epoch(), snap.staged_ops()};
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
-    profile_.pin_ns = obs::NowNanos() - pin_start;
-    // Pin time encloses plan+eval, so total is parse + pin (the
-    // EvalBgpPinned convention).
-    profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else {
-    // Unpinned stores have no epoch; the size doubles as a weak staged-
-    // ops stamp (estimate probes catch what it misses).
-    const PlanCacheStamp stamp{0, plain_.size()};
-    result = internal::ExecuteSparqlPipeline(plain_, dict_, query,
-                                             &profile_,
-                                             options_.plan_cache, stamp,
-                                             from_cache);
-  }
+  bool from_cache = false;
+  Result<ResultSet> result = WithView(
+      &profile_.pin_ns,
+      [&](const TripleStore& view, const PlanCacheStamp& stamp) {
+        return ExecuteSparqlPipeline(view, dict_, query, &profile_,
+                                     options_.plan_cache, stamp,
+                                     &from_cache);
+      });
+  profile_.total_ns = obs::NowNanos() - start_ns;
   if (options_.sink != nullptr) {
     options_.sink->Record(profile_, text);
   }
@@ -503,67 +464,48 @@ Result<ResultSet> Session::Run(const ParsedQuery& query,
         "query exceeded its deadline after " +
         std::to_string(profile_.total_ns / 1000000) + "ms");
   }
-  return result;
-}
-
-Result<QueryResult> Session::Query(std::string_view text) {
-  profile_.Reset();
-  profile_.kind = QueryKind::kSparql;
-  const std::uint64_t parse_start = obs::NowNanos();
-  auto parsed = ParseSparql(text);
-  profile_.parse_ns += obs::NowNanos() - parse_start;
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  bool from_cache = false;
-  auto result = Run(parsed.value(), text, &from_cache);
-  if (!result.ok()) {
-    return result.status();
-  }
   QueryResult out;
   out.set = std::move(result).value();
   out.profile = profile_;
   out.from_plan_cache = from_cache;
   return out;
+}
+
+Result<QueryResult> Session::Query(std::string_view text) {
+  const std::uint64_t start = obs::NowNanos();
+  profile_.Reset();
+  profile_.kind = QueryKind::kSparql;
+  auto parsed = ParseSparql(text);
+  profile_.parse_ns = obs::NowNanos() - start;
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  return Run(parsed.value(), text, start);
 }
 
 Result<QueryResult> Session::EvalBgp(
     const std::vector<TriplePattern>& patterns) {
+  const std::uint64_t start = obs::NowNanos();
   profile_.Reset();
   profile_.kind = QueryKind::kBgp;
   ParsedQuery query;
   query.patterns = patterns;
-  bool from_cache = false;
-  auto result = Run(query, "<bgp>", &from_cache);
-  if (!result.ok()) {
-    return result.status();
-  }
-  QueryResult out;
-  out.set = std::move(result).value();
-  out.profile = profile_;
-  out.from_plan_cache = from_cache;
-  return out;
+  return Run(query, "<bgp>", start);
 }
 
 Result<std::string> Session::Explain(std::string_view text) {
+  auto parsed = ParseSparql(text);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
   // Plan against the same view a query would evaluate (pin policy
   // honored), but never through the plan cache: EXPLAIN output must be
   // deterministic for a given store state.
-  if (sharded_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const ShardedSnapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? sharded_->GetSnapshot()
-            : sharded_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
-  }
-  if (delta_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const DeltaHexastore::Snapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? delta_->GetSnapshot()
-            : delta_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
-  }
-  return ExplainSparql(plain_, dict_, text);
+  std::uint64_t pin_ns = 0;
+  return WithView(&pin_ns, [&](const TripleStore& view,
+                               const PlanCacheStamp&) {
+    return ExplainQuery(view, dict_, parsed.value());
+  });
 }
 
 Result<std::string> Session::ExplainAnalyze(std::string_view text) {

@@ -1,8 +1,8 @@
-// The unified query entry point: one Session object binds a store, a
+// The query entry point: one Session object binds a store, a
 // dictionary and a query-execution policy (generation pinning, plan
 // cache, profile sink, per-query deadline), and every front end — the
-// REPL, the CLI, the HTTP server, tests — runs queries through it
-// instead of juggling the RunSparql/EvalBgpPinned free functions.
+// REPL, the CLI, the HTTP server, tests — runs SPARQL queries, bare
+// BGPs and EXPLAINs through it.
 //
 // What a Session owns vs. shares:
 //
@@ -15,9 +15,13 @@
 //    thread its own Session over one cache and one sink.
 //
 // A Session itself is single-threaded state (use one per thread). Every
-// query executes profiled — that is what makes deadlines observable and
-// the sink's histograms complete; the legacy unprofiled fast path stays
-// available through the sparql_engine.h shims.
+// query runs one sequence: parse, pin, then the compile → plan → eval
+// sequence of bgp.h, then the solution modifiers. Every query executes
+// profiled — that is what makes deadlines observable and the sink's
+// histograms complete. The phases are disjoint: pin_ns is the read-
+// handle acquisition alone, plan_ns and eval_ns run inside the pin, and
+// total_ns is the wall time of the whole call, so
+// parse + pin + plan + eval <= total.
 //
 // Pinning: under PinPolicy::kWaitFree each query runs against one
 // AcquireReadHandle() generation — wait-free, never blocked by writers
@@ -123,10 +127,16 @@ class Session {
   const QueryProfile& last_profile() const { return profile_; }
 
  private:
-  // Executes `query` against the pinned (or direct) store view with the
-  // shared pipeline; fills profile_/from_cache and feeds the sink.
-  Result<ResultSet> Run(const ParsedQuery& query, std::string_view text,
-                        bool* from_cache);
+  // Executes `query` against the pinned (or direct) store view; fills
+  // profile_, sets total_ns to the time since `start_ns` and feeds the
+  // sink.
+  Result<QueryResult> Run(const ParsedQuery& query, std::string_view text,
+                          std::uint64_t start_ns);
+
+  // Calls fn(view, stamp) on the store view the pin policy selects and
+  // stores the handle-acquisition time in *pin_ns.
+  template <typename Fn>
+  auto WithView(std::uint64_t* pin_ns, Fn&& fn) const;
 
   const TripleStore& plain_;          // evaluation target under kNone
   const DeltaHexastore* delta_;       // non-null ⇔ single-store pinning
@@ -136,31 +146,6 @@ class Session {
   QueryProfile profile_;              // reused across queries
 };
 
-namespace internal {
-
-/// The solution-modifier pipeline behind both Session and the legacy
-/// ExecuteSparql shim: BGP evaluation (optionally through `cache` with
-/// `stamp`), filters, aggregation, ORDER BY, projection, DISTINCT,
-/// LIMIT. `profile` may be null (legacy unprofiled path: no clocks, no
-/// deadline checks). `from_cache`, when non-null, reports whether the
-/// join order was served by the cache.
-Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
-                                        const Dictionary& dict,
-                                        const ParsedQuery& query,
-                                        QueryProfile* profile,
-                                        PlanCache* cache,
-                                        const PlanCacheStamp& stamp,
-                                        bool* from_cache);
-
-/// BGP evaluation with optional plan-cache ordering; same contract as
-/// the EvalBgp free function otherwise.
-ResultSet EvalBgpMaybeCached(const TripleStore& store,
-                             const Dictionary& dict,
-                             const std::vector<TriplePattern>& patterns,
-                             QueryProfile* profile, PlanCache* cache,
-                             const PlanCacheStamp& stamp, bool* from_cache);
-
-}  // namespace internal
 }  // namespace query
 }  // namespace hexastore
 

@@ -8,7 +8,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <system_error>
 
 namespace hexastore {
 
@@ -221,11 +223,16 @@ ReadOutcome ReadHttpRequest(int fd, std::size_t max_bytes,
       const std::string_view name = Trim(header.substr(0, colon));
       const std::string_view value = Trim(header.substr(colon + 1));
       if (IEquals(name, "content-length")) {
-        char* end = nullptr;
-        const std::string v(value);
-        content_length = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
+        // Digits only: no sign, no inner whitespace. A well-formed value
+        // too big for size_t is oversized, not malformed.
+        const char* end = value.data() + value.size();
+        const auto [ptr, ec] =
+            std::from_chars(value.data(), end, content_length);
+        if (ptr != end || ec == std::errc::invalid_argument) {
           return ReadOutcome::kBad;
+        }
+        if (ec == std::errc::result_out_of_range) {
+          return ReadOutcome::kTooLarge;
         }
       } else if (IEquals(name, "connection")) {
         if (IEquals(value, "close")) {
@@ -239,7 +246,9 @@ ReadOutcome ReadHttpRequest(int fd, std::size_t max_bytes,
   }
 
   const std::size_t body_start = header_end + 4;
-  if (body_start + content_length > max_bytes) {
+  // body_start <= buf.size() <= max_bytes, so the subtraction cannot
+  // wrap (an addition could, for a length near SIZE_MAX).
+  if (content_length > max_bytes - body_start) {
     return ReadOutcome::kTooLarge;
   }
   while (buf.size() < body_start + content_length) {

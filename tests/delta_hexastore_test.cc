@@ -1,6 +1,7 @@
 // Behavior tests of the DeltaHexastore: staging semantics, threshold
 // auto-compaction, snapshot isolation across compactions, merged accessor
-// views and merge joins mid-delta, stats, and the snapshot file format.
+// views mid-delta, stats, and the snapshot file format. The §4.2 join
+// shapes over every level shape live in merge_join_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include "core/hexastore.h"
 #include "delta/delta_hexastore.h"
 #include "io/snapshot.h"
-#include "query/merge_join.h"
 #include "rdf/term.h"
 #include "util/rng.h"
 
@@ -217,41 +217,6 @@ TEST(DeltaHexastoreTest, MergedViewsStayValidAcrossCompaction) {
 
 // Every merge-join overload must agree with the same join on a plain
 // Hexastore holding the compacted contents.
-TEST(DeltaHexastoreTest, MergeJoinsAgreeWithCompactedHexastore) {
-  Rng rng(77);
-  DeltaHexastore store(/*compact_threshold=*/64);
-  Hexastore compacted;
-  for (int i = 0; i < 1200; ++i) {
-    IdTriple t{1 + rng.Uniform(10), 1 + rng.Uniform(4),
-               1 + rng.Uniform(10)};
-    if (rng.Bernoulli(0.7)) {
-      store.Insert(t);
-      compacted.Insert(t);
-    } else {
-      store.Erase(t);
-      compacted.Erase(t);
-    }
-  }
-  ASSERT_EQ(MatchAll(store), MatchAll(compacted));
-  for (int probe = 0; probe < 50; ++probe) {
-    const Id p1 = 1 + rng.Uniform(5);
-    const Id p2 = 1 + rng.Uniform(5);
-    const Id o1 = 1 + rng.Uniform(11);
-    const Id o2 = 1 + rng.Uniform(11);
-    const Id s1 = 1 + rng.Uniform(11);
-    const Id s2 = 1 + rng.Uniform(11);
-    EXPECT_EQ(JoinSubjectsByObjects(store, p1, o1, p2, o2),
-              JoinSubjectsByObjects(compacted, p1, o1, p2, o2));
-    EXPECT_EQ(JoinObjectsBySubjects(store, s1, p1, s2, p2),
-              JoinObjectsBySubjects(compacted, s1, p1, s2, p2));
-    EXPECT_EQ(JoinSubjectsOfObjects(store, o1, o2),
-              JoinSubjectsOfObjects(compacted, o1, o2));
-    EXPECT_EQ(JoinPredicatesByPairs(store, s1, o1, s2, o2),
-              JoinPredicatesByPairs(compacted, s1, o1, s2, o2));
-    EXPECT_EQ(JoinChain(store, p1, p2), JoinChain(compacted, p1, p2));
-  }
-}
-
 TEST(DeltaHexastoreTest, StatsReportDeltaAndBase) {
   DeltaHexastore store(/*compact_threshold=*/100);
   store.BulkLoad({{1, 1, 1}, {2, 2, 2}, {3, 3, 3}});

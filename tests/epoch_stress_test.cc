@@ -12,8 +12,8 @@
 //   * The merged store agrees with a std::set oracle through randomized
 //     churn in background-compaction mode (the churn oracle from
 //     churn_test, pointed at the concurrent machinery).
-//   * Pinned-generation BGP evaluation and merge joins answer from
-//     exactly one generation.
+//   * Pinned-generation BGP evaluation (the §4.2 join shapes included)
+//     answers from exactly one generation.
 //
 // These suites run in the TSan CI job; keep every cross-thread
 // interaction data-race-free by construction.
@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -35,8 +36,8 @@
 #include "delta/delta_hexastore.h"
 #include "query/bgp.h"
 #include "shard/sharded_hexastore.h"
-#include "query/merge_join.h"
 #include "query/plan_cache.h"
+#include "query/planner.h"
 #include "query/result_json.h"
 #include "query/session.h"
 #include "util/rng.h"
@@ -553,8 +554,37 @@ TEST(EpochStressTest, ReadersHoldHandlesAcrossForcedCompactions) {
   EXPECT_EQ(epochs.active_reader_sections, 0);
 }
 
-// Pinned-generation query plans: BGP evaluation and merge joins over a
-// handle answer from exactly one generation while the writer churns.
+// Compiles an id-level BGP over raw store ids (no dictionary): each
+// pattern position is a constant id or a variable name.
+struct IdSlot {
+  Id id = kInvalidId;
+  const char* var = nullptr;
+};
+CompiledBgp IdBgp(const std::vector<std::array<IdSlot, 3>>& patterns) {
+  CompiledBgp bgp;
+  auto slot = [&bgp](const IdSlot& s) {
+    return s.var == nullptr ? Slot{s.id, kNoVar}
+                            : Slot{kInvalidId, bgp.vars.Intern(s.var)};
+  };
+  for (const auto& [s, p, o] : patterns) {
+    // Braced initializers evaluate left to right: variables intern in
+    // first-seen order, as CompileBgp does.
+    bgp.patterns.push_back({slot(s), slot(p), slot(o)});
+  }
+  return bgp;
+}
+
+// Plans and evaluates `bgp` on `view`, returning the rows.
+std::vector<Row> EvalRows(const TripleStore& view, const CompiledBgp& bgp) {
+  std::vector<Row> rows;
+  EvalBgp(view, bgp, PlanBgp(view, bgp),
+          [&rows](const Binding& b) { rows.push_back(b.values()); });
+  return rows;
+}
+
+// Pinned-generation query plans: the §4.2 join shapes evaluated as BGPs
+// over a handle answer from exactly one generation while the writer
+// churns.
 TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   DeltaHexastore store(DeltaOptions{/*compact_threshold=*/32,
                                     /*background_compaction=*/true});
@@ -566,14 +596,27 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
 
+  // ?x related to both 7 and 9 by any property, and the knows-knows
+  // chain ?a -> ?m -> ?b.
+  const CompiledBgp subjects_of_objects =
+      IdBgp({{IdSlot{0, "x"}, IdSlot{0, "p1"}, IdSlot{7}},
+             {IdSlot{0, "x"}, IdSlot{0, "p2"}, IdSlot{9}}});
+  const CompiledBgp chain =
+      IdBgp({{IdSlot{0, "a"}, IdSlot{p_knows}, IdSlot{0, "m"}},
+             {IdSlot{0, "m"}, IdSlot{p_knows}, IdSlot{0, "b"}}});
+
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&store, &done, &failures, p_knows] {
+    readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
         const DeltaHexastore::Snapshot snap = store.AcquireReadHandle();
-        // The joins and the direct scans must agree because they read
+        // The join and the direct scans must agree because they read
         // the same pinned generation.
-        const IdVec joined = JoinSubjectsOfObjects(snap, 7, 9);
+        IdVec joined;
+        for (const Row& row : EvalRows(snap, subjects_of_objects)) {
+          joined.push_back(row[0]);
+        }
+        SortUnique(&joined);
         const IdVec left = snap.subjects_of_object(7);
         const IdVec right = snap.subjects_of_object(9);
         IdVec expect;
@@ -585,13 +628,10 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
         if (joined != expect) {
           failures.fetch_add(1);
         }
-        // Chain join built from the same handle stays self-consistent.
-        const auto chain = JoinChain(snap, p_knows, p_knows);
-        for (const auto& [s, e] : chain) {
-          if (!snap.MatchesAny(IdPattern{s, p_knows, 0})) {
-            failures.fetch_add(1);
-          }
-          if (!snap.MatchesAny(IdPattern{0, p_knows, e})) {
+        // The chain evaluated on the same handle stays self-consistent.
+        for (const Row& row : EvalRows(snap, chain)) {
+          if (!snap.MatchesAny(IdPattern{row[0], p_knows, row[1]}) ||
+              !snap.MatchesAny(IdPattern{row[1], p_knows, row[2]})) {
             failures.fetch_add(1);
           }
         }
@@ -614,15 +654,18 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // EvalBgpPinned plans and evaluates against a single generation; on a
-  // quiescent store it must agree with the live evaluation.
+  // A pinned Session plans and evaluates against a single generation;
+  // on a quiescent store it must agree with the live evaluation.
   store.Compact();
   const std::vector<TriplePattern> patterns = {
       {PatternTerm::Variable("x"), PatternTerm::Bound(dict.term(p_knows)),
        PatternTerm::Variable("y")}};
-  const ResultSet pinned = EvalBgpPinned(store, dict, patterns);
+  query::SessionOptions options;
+  options.pin = query::PinPolicy::kLinearizable;
+  auto pinned = query::Session(store, dict, options).EvalBgp(patterns);
+  ASSERT_TRUE(pinned.ok());
   const ResultSet live = EvalBgp(store, dict, patterns);
-  EXPECT_EQ(pinned.rows.size(), live.rows.size());
+  EXPECT_EQ(pinned.value().set.rows, live.rows);
 }
 
 // Concurrent profiled queries against a churning store: every profile
@@ -651,17 +694,30 @@ TEST(EpochStressTest, ProfiledQueriesUnderBackgroundChurn) {
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(17 + r);
+      query::SessionOptions options;
+      options.pin = query::PinPolicy::kLinearizable;
+      query::Session session(store, dict, options);
       while (!done.load(std::memory_order_acquire)) {
         queries.fetch_add(1, std::memory_order_relaxed);
-        QueryProfile profile;
-        const ResultSet result =
-            EvalBgpPinned(store, dict, patterns, &profile);
+        const std::uint64_t start = obs::NowNanos();
+        auto run = session.EvalBgp(patterns);
+        const std::uint64_t wall = obs::NowNanos() - start;
+        if (!run.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const ResultSet& result = run.value().set;
+        const QueryProfile& profile = run.value().profile;
         // The profile describes exactly the pinned evaluation: one
-        // pattern, row count matching the result, phases that add up.
+        // pattern, row count matching the result, disjoint phases
+        // inside a total that the stopwatch bounds.
         if (profile.patterns.size() != 1 ||
             profile.rows_out != result.rows.size() ||
             profile.patterns[0].rows_emitted != result.rows.size() ||
-            profile.total_ns != profile.parse_ns + profile.pin_ns) {
+            profile.parse_ns + profile.pin_ns + profile.plan_ns +
+                    profile.eval_ns >
+                profile.total_ns ||
+            profile.total_ns > wall) {
           failures.fetch_add(1);
         }
         sink.Record(profile, "pinned churn probe");
@@ -672,7 +728,8 @@ TEST(EpochStressTest, ProfiledQueriesUnderBackgroundChurn) {
                sink.slow_queries().Snapshot()) {
             if (e.kind != obs::kSlowQueryKindBgp ||
                 e.q_error_x1000 < 1000 || e.patterns != 1 ||
-                e.total_ns != e.parse_ns + e.pin_ns ||
+                e.parse_ns + e.pin_ns + e.plan_ns + e.eval_ns >
+                    e.total_ns ||
                 e.text != "pinned churn probe") {
               failures.fetch_add(1);
             }

@@ -1,8 +1,8 @@
 // Tests for the concurrent SPARQL HTTP server (server/server.h):
 // socket-free routing through Server::Handle, end-to-end socket round
-// trips, write visibility (publish-on-write), admission-control 503s,
-// and a concurrent clients-vs-compactor stress run (the TSan CI job
-// leans on this one).
+// trips, Content-Length validation, write visibility (publish-on-write),
+// admission-control 503s, and a concurrent clients-vs-compactor stress
+// run (the TSan CI job leans on this one).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -391,6 +391,37 @@ TEST(ServerSocketTest, OversizedRequestIs413) {
   TestClient client(server.port());
   std::string body(8192, 'x');
   EXPECT_EQ(client.Request("POST", "/query", body, nullptr), 413);
+  server.Stop();
+}
+
+// Content-Length must be plain digits. A sign, or a value that wraps
+// the size check, must not let a request past the body read.
+TEST(ServerSocketTest, ContentLengthIsValidated) {
+  Dictionary dict;
+  DeltaHexastore store;
+  store.Insert(dict.Encode(Triple{Term::Iri("http://x/s"),
+                                  Term::Iri("http://x/p"),
+                                  Term::Iri("http://x/o")}));
+  ServerOptions options;
+  options.port = 0;
+  Server server(store, dict, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string query = "SELECT ?s WHERE { ?s <http://x/p> ?o }";
+  auto send = [&](const std::string& length) {
+    TestClient client(server.port());
+    if (!client.SendRaw("POST /query HTTP/1.1\r\nHost: t\r\n"
+                        "Content-Length: " +
+                        length + "\r\n\r\n" + query)) {
+      return -1;
+    }
+    return client.ReadResponse(nullptr);
+  };
+  EXPECT_EQ(send("-1"), 400);
+  EXPECT_EQ(send("+" + std::to_string(query.size())), 400);
+  EXPECT_EQ(send("18446744073709551615"), 413);
+  EXPECT_EQ(send("99999999999999999999999"), 413);
+  EXPECT_EQ(send(std::to_string(query.size())), 200);
   server.Stop();
 }
 

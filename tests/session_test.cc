@@ -1,7 +1,7 @@
 // Tests for the unified query::Session API (query/session.h): pin
 // policies and write visibility, per-query deadlines, ProfileSink
-// feeding, plan-cache integration, and equivalence with the deprecated
-// RunSparql / EvalBgpPinned shims.
+// feeding, plan-cache integration, EXPLAIN, and the phase rule
+// (parse + pin + plan + eval <= total <= the wall time of the call).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,11 +10,12 @@
 #include "core/hexastore.h"
 #include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
+#include "obs/metrics.h"
 #include "query/bgp.h"
 #include "query/plan_cache.h"
 #include "query/result_json.h"
 #include "query/session.h"
-#include "query/sparql_engine.h"
+#include "shard/sharded_hexastore.h"
 
 namespace hexastore {
 namespace {
@@ -53,15 +54,18 @@ constexpr const char* kChainQuery =
     "SELECT ?a ?c WHERE { ?a <http://x/knows> ?b . "
     "?b <http://x/knows> ?c } ORDER BY ?a";
 
-TEST_F(SessionTest, QueryMatchesLegacyRunSparql) {
+TEST_F(SessionTest, PinnedQueryMatchesUnpinnedSnapshotQuery) {
   query::Session session(store_, dict_);
   auto via_session = session.Query(kChainQuery);
   ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
 
-  auto legacy = RunSparql(store_, dict_, kChainQuery);
-  ASSERT_TRUE(legacy.ok());
+  // A snapshot is a plain TripleStore: that Session evaluates it
+  // directly (PinPolicy::kNone).
+  const DeltaHexastore::Snapshot snapshot = store_.GetSnapshot();
+  auto unpinned = query::Session(snapshot, dict_).Query(kChainQuery);
+  ASSERT_TRUE(unpinned.ok());
   EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(legacy.value(), dict_));
+            ResultSetToJson(unpinned.value().set, dict_));
   // Sessions always profile: phase times and rows populated.
   EXPECT_EQ(via_session.value().profile.rows_out,
             via_session.value().set.rows.size());
@@ -166,22 +170,58 @@ TEST_F(SessionTest, PlanCacheServesRepeatedTemplates) {
   EXPECT_EQ(cache.hits(), 2u);
 }
 
-TEST_F(SessionTest, EvalBgpMatchesPinnedShim) {
+TEST_F(SessionTest, EvalBgpMatchesDirectEvaluation) {
   std::vector<TriplePattern> patterns = {Pat("?a", "knows", "?b"),
                                          Pat("?b", "knows", "?c")};
   query::Session session(store_, dict_);
   auto via_session = session.EvalBgp(patterns);
   ASSERT_TRUE(via_session.ok());
-  EXPECT_EQ(via_session.value().profile.kind, QueryKind::kBgp);
-
-  QueryProfile profile;
-  ResultSet via_shim = EvalBgpPinned(store_, dict_, patterns, &profile);
-  EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(via_shim, dict_));
-  // The shim preserves the legacy profile contract: patterns attached,
-  // total covers parse+pin.
+  const QueryProfile& profile = via_session.value().profile;
+  EXPECT_EQ(profile.kind, QueryKind::kBgp);
   EXPECT_EQ(profile.patterns.size(), 2u);
-  EXPECT_GT(profile.rows_out, 0u);
+  EXPECT_EQ(profile.rows_out, via_session.value().set.rows.size());
+
+  const ResultSet direct = EvalBgp(store_.GetSnapshot(), dict_, patterns);
+  EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
+            ResultSetToJson(direct, dict_));
+}
+
+// The four phases are disjoint slices of the call, so they sum to at
+// most total_ns, and total_ns is at most what a stopwatch around the
+// call measures — under every pin policy and over a sharded store.
+void ExpectPhasesSplitTotal(query::Session* session) {
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t start = obs::NowNanos();
+    auto r = session->Query(kChainQuery);
+    const std::uint64_t wall = obs::NowNanos() - start;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryProfile& p = r.value().profile;
+    EXPECT_GT(p.rows_out, 0u);
+    EXPECT_LE(p.parse_ns + p.pin_ns + p.plan_ns + p.eval_ns, p.total_ns);
+    EXPECT_LE(p.total_ns, wall);
+    if (session->options().pin == query::PinPolicy::kNone) {
+      EXPECT_EQ(p.pin_ns, 0u);
+    }
+  }
+}
+
+TEST_F(SessionTest, PhasesSplitTotal) {
+  for (query::PinPolicy pin :
+       {query::PinPolicy::kNone, query::PinPolicy::kWaitFree,
+        query::PinPolicy::kLinearizable}) {
+    query::SessionOptions options;
+    options.pin = pin;
+    query::Session session(store_, dict_, options);
+    ExpectPhasesSplitTotal(&session);
+  }
+
+  ShardedOptions sharded_options;
+  sharded_options.shards = 4;
+  ShardedHexastore sharded(sharded_options);
+  sharded.BulkLoad(store_.Match(IdPattern{}));
+  sharded.GetSnapshot();  // publish for the wait-free default pin
+  query::Session sharded_session(sharded, dict_);
+  ExpectPhasesSplitTotal(&sharded_session);
 }
 
 TEST_F(SessionTest, ExplainIsDeterministicAndAnalyzeRuns) {
