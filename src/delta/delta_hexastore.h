@@ -21,12 +21,13 @@
 //     write amplification drops with the run limit (see
 //     docs/delta-levels.md for the full policy).
 //
-// Read path: Contains, Scan and the merged accessor views always expose
-// the consistent union across the whole chain
+// Read path: Contains, Scan and EstimateMatches always expose the
+// consistent union across the whole chain
 //   active ▷ L0 runs (newest first) ▷ L1 ▷ base
 // with each layer applying its point and pattern tombstones to
-// everything beneath it. Accessor views come back as MergedList so merge
-// joins keep their linear-merge guarantee mid-delta.
+// everything beneath it. Scan filters the base matches through every
+// layer's verdict and range-scans each layer's sorted insert runs under
+// the pattern's bound prefix.
 //
 // Concurrent reads: two kinds of handle, both materialized as Snapshot.
 //
@@ -37,9 +38,9 @@
 //     *published* generation through an RCU-style epoch-protected
 //     pointer (see generation.h) without ever touching the store mutex.
 //     It may trail the live store by the ops staged since the last
-//     publication (a publication happens at every snapshot/merged-view
-//     exposure, every background-merge completion, and Clear/BulkLoad in
-//     background mode).
+//     publication (a publication happens at every GetSnapshot, every
+//     background-merge completion, and Clear/BulkLoad in background
+//     mode).
 //
 // Either handle pins its generation for its whole lifetime — a BGP
 // evaluated against a Snapshot (it is a read-only TripleStore) plans and
@@ -67,7 +68,6 @@
 #include "delta/delta_store.h"
 #include "delta/generation.h"
 #include "delta/level.h"
-#include "delta/merged_list.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
@@ -265,10 +265,9 @@ class DeltaHexastore : public TripleStore {
 
   /// An immutable view of one published {base, levels, active}
   /// generation. It is a read-only TripleStore (mutators are no-ops that
-  /// return false), so planners, BGP evaluation and merge joins run
-  /// entirely against the pinned generation; it also mirrors the merged
-  /// accessor views. Cheap to copy and safe to read from any thread
-  /// while writers keep inserting and merging.
+  /// return false), so planners and BGP evaluation run entirely against
+  /// the pinned generation. Cheap to copy and safe to read from any
+  /// thread while writers keep inserting and merging.
   class Snapshot final : public TripleStore {
    public:
     /// Empty view (no generation).
@@ -299,18 +298,6 @@ class DeltaHexastore : public TripleStore {
     /// plan cache keys validity fast-paths on it.
     std::uint64_t staged_ops() const;
 
-    // Merged accessor views over the pinned generation (see the
-    // DeltaHexastore accessors below for semantics).
-    MergedList objects(Id s, Id p) const;
-    MergedList predicates(Id s, Id o) const;
-    MergedList subjects(Id p, Id o) const;
-    IdVec predicates_of_subject(Id s) const;
-    IdVec objects_of_subject(Id s) const;
-    IdVec subjects_of_predicate(Id p) const;
-    IdVec objects_of_predicate(Id p) const;
-    IdVec subjects_of_object(Id o) const;
-    IdVec predicates_of_object(Id o) const;
-
    private:
     friend class DeltaHexastore;
     explicit Snapshot(std::shared_ptr<const DeltaGeneration> gen)
@@ -329,36 +316,6 @@ class DeltaHexastore : public TripleStore {
   /// since the last publication (see the file comment).
   Snapshot AcquireReadHandle() const;
 
-  // -- Merged accessor views (the paper's vectors and lists) --------------
-  // Mirror Hexastore's accessors but return merging views instead of raw
-  // vector pointers, so callers see staged edits. Views stay valid across
-  // later mutations and merges (they pin the generation they were taken
-  // from). With sealed runs present the view is materialized (owns its
-  // ids); with only the active layer it is the zero-copy cursor pair.
-
-  /// Merged object list o(s,p).
-  MergedList objects(Id s, Id p) const;
-  /// Merged predicate list p(s,o).
-  MergedList predicates(Id s, Id o) const;
-  /// Merged subject list s(p,o).
-  MergedList subjects(Id p, Id o) const;
-
-  // Header-level merged vectors (materialized: membership of a header id
-  // depends on whether any merged terminal list under it is non-empty).
-
-  /// Merged property vector p(s) of the spo index.
-  IdVec predicates_of_subject(Id s) const;
-  /// Merged object vector o(s) of the sop index.
-  IdVec objects_of_subject(Id s) const;
-  /// Merged subject vector s(p) of the pso index.
-  IdVec subjects_of_predicate(Id p) const;
-  /// Merged object vector o(p) of the pos index.
-  IdVec objects_of_predicate(Id p) const;
-  /// Merged subject vector s(o) of the osp index.
-  IdVec subjects_of_object(Id o) const;
-  /// Merged property vector p(o) of the ops index.
-  IdVec predicates_of_object(Id o) const;
-
   // -- Introspection -------------------------------------------------------
 
   /// The compacted base store (test/bench access; reflects the state as
@@ -376,12 +333,12 @@ class DeltaHexastore : public TripleStore {
   //
   // Publication protocol: internal reads happen under mu_, so they are
   // ordered against writers by the mutex alone. The moment a generation
-  // escapes — GetSnapshot, a MergedList accessor, base(), a seal, or a
-  // background-merge completion — the objects it references are marked
-  // exposed and NEVER mutated in place again: writers clone the delta
-  // (copy-on-write) and merges rebuild-and-swap the base. Lock-free
-  // readers therefore only ever dereference frozen objects; the epoch
-  // gate (generation.h) keeps them allocated.
+  // escapes — GetSnapshot, base(), a seal, or a background-merge
+  // completion — the objects it references are marked exposed and NEVER
+  // mutated in place again: writers clone the delta (copy-on-write) and
+  // merges rebuild-and-swap the base. Lock-free readers therefore only
+  // ever dereference frozen objects; the epoch gate (generation.h) keeps
+  // them allocated.
 
   // Publishes the current {base_, levels_, delta_} through the gate.
   // `logical_size` is the triple count of the published view;
@@ -458,7 +415,7 @@ class DeltaHexastore : public TripleStore {
   mutable bool base_exposed_ = false;
   mutable bool delta_exposed_ = false;
   // Set by every mutation/structure change; cleared by PublishLocked —
-  // lets repeated exposures (accessor loops) skip redundant publishes.
+  // lets repeated GetSnapshot calls skip redundant publishes.
   mutable bool dirty_ = true;
   // Ops of delta_ included in the last publication (0 when the active
   // buffer was excluded); a merge-completion publish must re-include the
@@ -499,7 +456,7 @@ class DeltaHexastore : public TripleStore {
   // bookkeeping — DeltaStats is a view over them — so they are always
   // maintained; only the latency histograms honor the HEXA_METRICS
   // toggle (via ScopedTimer). Mutable because const read paths
-  // (Contains, AcquireReadHandle, the merge joins) time themselves.
+  // (Contains, AcquireReadHandle) time themselves.
   struct Meters {
     obs::Counter compactions;       // every merge (drain, bg merge, fold)
     obs::Counter seals;

@@ -12,7 +12,7 @@
 // would otherwise stage one tombstone per match.
 //
 // The invariants that keep the merged read path simple, relied on by
-// DeltaHexastore and the merging iterators (P = pattern-erased preds):
+// DeltaHexastore's verdict chain and scans (P = pattern-erased preds):
 //
 //   * a staged insert whose predicate is not in P is never present in
 //     the base (adds disjoint); an insert with predicate in P may be a
@@ -29,12 +29,10 @@
 // steady state — this is where the insert-throughput win over the
 // sextuple-indexed base comes from.
 //
-// Read path: the same three pair-keyed terminal-list families as the
-// base store's TerminalListPool (o(s,p), p(s,o), s(p,o)), split into
-// sorted `adds` / `removes` vectors, are derived LAZILY from the op
-// table the first time a merged accessor view needs them and cached
-// until the next mutation. These side lists are what lets a merged view
-// (MergedListCursor) walk base-list ∪ adds ∖ removes in one linear pass.
+// Read path: point verdicts (Lookup) probe the op table directly; bound
+// pattern scans (ScanInserts) range-scan the staged inserts sorted three
+// ways — (s,p,o), (p,o,s) and (o,s,p) — which are derived LAZILY from
+// the op table on the first scan and cached until the next mutation.
 #ifndef HEXASTORE_DELTA_DELTA_STORE_H_
 #define HEXASTORE_DELTA_DELTA_STORE_H_
 
@@ -44,12 +42,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "delta/run_filter.h"
 #include "index/sorted_vec.h"
-#include "index/terminal_pool.h"
 #include "rdf/triple.h"
 #include "util/common.h"
 #include "util/memory_tracker.h"
@@ -74,12 +70,6 @@ enum class DeltaOp : std::uint8_t {
   kTombstone = 1,  ///< base-resident triple deleted
 };
 
-/// Pending sorted edits of one terminal list, keyed like the base pool.
-struct DeltaList {
-  IdVec adds;      ///< third-role ids staged for insertion
-  IdVec removes;   ///< third-role ids tombstoned out of the base list
-};
-
 /// Unsorted staging buffer of inserts and tombstones.
 ///
 /// Copyable on purpose: DeltaHexastore clones it (copy-on-write) when a
@@ -89,8 +79,8 @@ struct DeltaList {
 /// everything else (DeltaHexastore calls them under its mutex). On a
 /// frozen (never-again-mutated) instance every read is safe from any
 /// thread: Lookup and ForEachOp are pure, and the lazily-caching read
-/// helpers (FindLists, ForEachList, ScanInserts) serialize their one-off
-/// cache build internally (double-checked under cache_mu_), so sealed
+/// helpers (ScanInserts, MaybeFilter) serialize their one-off cache
+/// build internally (double-checked under cache_mu_), so sealed
 /// runs can be read concurrently by mutex readers, lock-free snapshot
 /// readers and the compactor without any pre-freezing.
 class DeltaStore {
@@ -109,7 +99,6 @@ class DeltaStore {
         inserts_(other.inserts_),
         tombstones_(other.tombstones_),
         pattern_preds_(other.pattern_preds_) {
-    lists_valid_.store(other.op_count() == 0, std::memory_order_relaxed);
     runs_valid_.store(other.op_count() == 0, std::memory_order_relaxed);
   }
   DeltaStore& operator=(const DeltaStore&) = delete;
@@ -179,11 +168,6 @@ class DeltaStore {
   /// Adds a pattern tombstone without subsuming any staged point op.
   void AdoptPatternErase(Id p) { SortedInsert(&pattern_preds_, p); }
 
-  /// Pending edits of the terminal list of `family` keyed by (a, b), or
-  /// nullptr when the delta does not touch that list. Builds the cached
-  /// side lists on first use after a mutation.
-  const DeltaList* FindLists(ListFamily family, Id a, Id b) const;
-
   /// Emits every staged insert matching `pattern` to `sink`, grouped by
   /// the pattern's bound prefix: O(log + matches) once the sorted runs
   /// are cached (instead of a full op-table walk per scan).
@@ -193,7 +177,7 @@ class DeltaStore {
   /// Number of staged inserts matching `pattern` (planner estimates).
   std::uint64_t CountInserts(const IdPattern& pattern) const;
 
-  /// Pre-builds every lazy cache (sorted runs + side lists). Purely an
+  /// Pre-builds every lazy cache (sorted runs + filter). Purely an
   /// optimization — the builds are internally synchronized, so readers
   /// of a frozen instance are safe either way; the compactor calls this
   /// off the store mutex to spare the first reader the build cost.
@@ -206,16 +190,6 @@ class DeltaStore {
       if (slot.state == SlotState::kFull) {
         fn(slot.triple, slot.op);
       }
-    }
-  }
-
-  /// Calls `fn(key, lists)` for every touched terminal list of `family`.
-  /// Builds the cached side lists on first use after a mutation.
-  template <typename Fn>
-  void ForEachList(ListFamily family, Fn&& fn) const {
-    EnsureSideLists();
-    for (const auto& [key, lists] : lists_[static_cast<int>(family)]) {
-      fn(key, lists);
     }
   }
 
@@ -239,7 +213,7 @@ class DeltaStore {
   /// tombstones. Compaction may only be skipped when this holds.
   bool empty() const { return op_count() == 0 && pattern_preds_.empty(); }
 
-  /// Approximate heap bytes (op table + cached side lists + filter).
+  /// Approximate heap bytes (op table + cached sorted runs + filter).
   std::size_t MemoryBytes() const;
 
   /// Heap bytes of just the op table — O(1), callable without locks by
@@ -293,26 +267,20 @@ class DeltaStore {
     DeltaOp op = DeltaOp::kInsert;
   };
 
-  using ListMap = std::unordered_map<IdPair, DeltaList, IdPairHash>;
-
   // Probe for `t`: the slot holding it, or nullptr. `insert_at` (when
   // non-null) receives the slot a new entry for `t` should occupy.
   Slot* Probe(const IdTriple& t, Slot** insert_at) const;
   // Grows/rehashes the table so one more op always fits.
   void ReserveForOneMore();
-  // Rebuilds the three side-list families from the op table
+  // Rebuilds the three sorted insert runs from the op table
   // (double-checked under cache_mu_; safe from any thread on a frozen
   // instance).
-  void EnsureSideLists() const;
-  // Rebuilds the three sorted insert runs from the op table (same
-  // double-checked discipline).
   void EnsureSortedRuns() const;
   // Drops all lazy caches after a mutation (mutator context: externally
   // serialized against every reader). A built filter is dropped too —
   // it only ever exists on sealed runs, so this is a safety net for the
   // clone-then-mutate path, not a hot one.
   void InvalidateCaches() {
-    lists_valid_.store(false, std::memory_order_release);
     runs_valid_.store(false, std::memory_order_release);
     filter_ptr_.store(nullptr, std::memory_order_relaxed);
     filter_bits_.store(0, std::memory_order_relaxed);
@@ -335,10 +303,6 @@ class DeltaStore {
   // acquire/release so a reader that observes `true` sees the built
   // containers.
   mutable std::mutex cache_mu_;
-
-  mutable ListMap lists_[3];
-  // Empty delta == valid empty lists.
-  mutable std::atomic<bool> lists_valid_{true};
 
   // Staged inserts sorted three ways: (s,p,o), (p,o,s) and (o,s,p), so
   // every bound-prefix shape of IdPattern has a run it can range-scan.

@@ -1,6 +1,8 @@
 #include "server/store_options.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string_view>
 
@@ -20,27 +22,18 @@ void Note(std::string* notes, std::string_view line) {
 
 // Env parsers: unset leaves `*out` untouched and returns true; set but
 // unparsable leaves it untouched and returns false (caller notes it).
-bool EnvSize(const char* name, std::size_t* out) {
+// Unsigned values are digits only: a sign, surrounding whitespace or a
+// value past the type's range is unparsable, never wrapped.
+template <typename T>
+bool EnvUnsigned(const char* name, T* out) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') {
     return true;
   }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
-    return false;
-  }
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool EnvU64(const char* name, std::uint64_t* out) {
-  std::size_t v = 0;
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return true;
-  }
-  if (!EnvSize(name, &v)) {
+  const char* end = env + std::strlen(env);
+  T v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || ptr != end) {
     return false;
   }
   *out = v;
@@ -148,47 +141,29 @@ std::string StoreOptions::Normalize() {
 StoreOptions StoreOptions::FromEnv(std::string* notes) {
   StoreOptions opts;
 
-  // Store-shape knobs feed both the plain and the durable configuration
-  // (DurableDeltaHexastore forwards its copies to the inner store).
-  std::size_t compact_threshold = opts.delta.compact_threshold;
-  bool bg_compaction = opts.delta.background_compaction;
-  std::size_t l0_run_limit = opts.delta.l0_run_limit;
-  double l1_fraction = opts.delta.l1_base_fraction;
-  std::size_t mem_budget = opts.delta.memory_budget_bytes;
-  std::size_t filter_bits = opts.delta.filter_bits_per_key;
-  if (!EnvSize("HEXA_COMPACT_THRESHOLD", &compact_threshold)) {
+  // Store-shape knobs: one DeltaOptions, handed whole to the durable
+  // configuration once normalized (below).
+  if (!EnvUnsigned("HEXA_COMPACT_THRESHOLD", &opts.delta.compact_threshold)) {
     Note(notes, "HEXA_COMPACT_THRESHOLD unparsable; keeping default");
   }
-  if (!EnvBool("HEXA_BG_COMPACTION", &bg_compaction)) {
+  if (!EnvBool("HEXA_BG_COMPACTION", &opts.delta.background_compaction)) {
     Note(notes, "HEXA_BG_COMPACTION unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_L0_RUN_LIMIT", &l0_run_limit)) {
+  if (!EnvUnsigned("HEXA_L0_RUN_LIMIT", &opts.delta.l0_run_limit)) {
     Note(notes, "HEXA_L0_RUN_LIMIT unparsable; keeping default");
   }
-  if (!EnvDouble("HEXA_L1_BASE_FRACTION", &l1_fraction)) {
+  if (!EnvDouble("HEXA_L1_BASE_FRACTION", &opts.delta.l1_base_fraction)) {
     Note(notes, "HEXA_L1_BASE_FRACTION unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_MEM_BUDGET", &mem_budget)) {
+  if (!EnvUnsigned("HEXA_MEM_BUDGET", &opts.delta.memory_budget_bytes)) {
     Note(notes, "HEXA_MEM_BUDGET unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_FILTER_BITS", &filter_bits)) {
+  if (!EnvUnsigned("HEXA_FILTER_BITS", &opts.delta.filter_bits_per_key)) {
     Note(notes, "HEXA_FILTER_BITS unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_SHARDS", &opts.shards)) {
+  if (!EnvUnsigned("HEXA_SHARDS", &opts.shards)) {
     Note(notes, "HEXA_SHARDS unparsable; keeping default");
   }
-  opts.delta.compact_threshold = compact_threshold;
-  opts.delta.background_compaction = bg_compaction;
-  opts.delta.l0_run_limit = l0_run_limit;
-  opts.delta.l1_base_fraction = l1_fraction;
-  opts.delta.memory_budget_bytes = mem_budget;
-  opts.delta.filter_bits_per_key = filter_bits;
-  opts.durability.compact_threshold = compact_threshold;
-  opts.durability.background_compaction = bg_compaction;
-  opts.durability.l0_run_limit = l0_run_limit;
-  opts.durability.l1_base_fraction = l1_fraction;
-  opts.durability.memory_budget_bytes = mem_budget;
-  opts.durability.filter_bits_per_key = filter_bits;
 
   // Durability.
   EnvString("HEXA_WAL_DIR", &opts.durability.dir);
@@ -206,10 +181,11 @@ StoreOptions StoreOptions::FromEnv(std::string* notes) {
       Note(notes, "HEXA_WAL_MODE unparsable; keeping batched");
     }
   }
-  if (!EnvSize("HEXA_WAL_SEGMENT_BYTES", &opts.durability.segment_bytes)) {
+  if (!EnvUnsigned("HEXA_WAL_SEGMENT_BYTES",
+                   &opts.durability.segment_bytes)) {
     Note(notes, "HEXA_WAL_SEGMENT_BYTES unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_WAL_BATCH_BYTES", &opts.durability.batch_bytes)) {
+  if (!EnvUnsigned("HEXA_WAL_BATCH_BYTES", &opts.durability.batch_bytes)) {
     Note(notes, "HEXA_WAL_BATCH_BYTES unparsable; keeping default");
   }
   if (!EnvBool("HEXA_BG_CHECKPOINTS",
@@ -220,28 +196,30 @@ StoreOptions StoreOptions::FromEnv(std::string* notes) {
   // Server.
   EnvString("HEXA_HOST", &opts.server.host);
   std::size_t port = opts.server.port;
-  if (!EnvSize("HEXA_PORT", &port) ||
+  if (!EnvUnsigned("HEXA_PORT", &port) ||
       port > std::numeric_limits<std::uint16_t>::max()) {
     Note(notes, "HEXA_PORT unparsable or out of range; keeping default");
   } else {
     opts.server.port = static_cast<std::uint16_t>(port);
   }
-  if (!EnvSize("HEXA_SERVER_THREADS", &opts.server.threads)) {
+  if (!EnvUnsigned("HEXA_SERVER_THREADS", &opts.server.threads)) {
     Note(notes, "HEXA_SERVER_THREADS unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_SERVER_QUEUE", &opts.server.queue_depth)) {
+  if (!EnvUnsigned("HEXA_SERVER_QUEUE", &opts.server.queue_depth)) {
     Note(notes, "HEXA_SERVER_QUEUE unparsable; keeping default");
   }
-  if (!EnvU64("HEXA_QUERY_DEADLINE_MS", &opts.server.query_deadline_ms)) {
+  if (!EnvUnsigned("HEXA_QUERY_DEADLINE_MS",
+                   &opts.server.query_deadline_ms)) {
     Note(notes, "HEXA_QUERY_DEADLINE_MS unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_PLAN_CACHE_CAP", &opts.server.plan_cache_capacity)) {
+  if (!EnvUnsigned("HEXA_PLAN_CACHE_CAP", &opts.server.plan_cache_capacity)) {
     Note(notes, "HEXA_PLAN_CACHE_CAP unparsable; keeping default");
   }
   if (!EnvDouble("HEXA_PLAN_CACHE_QERR", &opts.server.plan_cache_q_error)) {
     Note(notes, "HEXA_PLAN_CACHE_QERR unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_MAX_REQUEST_BYTES", &opts.server.max_request_bytes)) {
+  if (!EnvUnsigned("HEXA_MAX_REQUEST_BYTES",
+                   &opts.server.max_request_bytes)) {
     Note(notes, "HEXA_MAX_REQUEST_BYTES unparsable; keeping default");
   }
 
@@ -249,6 +227,7 @@ StoreOptions StoreOptions::FromEnv(std::string* notes) {
   if (!repaired.empty()) {
     Note(notes, repaired);
   }
+  opts.durability.delta = opts.delta;
   return opts;
 }
 

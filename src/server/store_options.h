@@ -10,8 +10,8 @@
 //
 // Environment variables (unset keeps the compiled default):
 //
-//   store                                  field
-//   HEXA_COMPACT_THRESHOLD    <ops>        delta/durability.compact_threshold
+//   store (durability.delta is a copy of delta)
+//   HEXA_COMPACT_THRESHOLD    <ops>        delta.compact_threshold
 //   HEXA_BG_COMPACTION        0|1          .background_compaction
 //   HEXA_L0_RUN_LIMIT         <runs>       .l0_run_limit
 //   HEXA_L1_BASE_FRACTION     <float>      .l1_base_fraction

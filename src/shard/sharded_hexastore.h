@@ -11,11 +11,10 @@
 // cross the batch threshold).
 //
 // Read path: scatter-gather. A pattern with a bound subject routes to
-// one shard; anything else fans out across all shards and merges. The
-// merged accessor views (objects/predicates/subjects and the six header
-// vectors) k-way merge the per-shard sorted lists, so the result is
-// byte-identical to a single store over the same triples — the
-// sharded-vs-single oracle in store_equivalence_test pins this.
+// one shard; anything else fans out across all shards and concatenates.
+// Match (which sorts) is therefore byte-identical to a single store over
+// the same triples — the sharded-vs-single oracles in
+// store_equivalence_test and sharded_store_test pin this.
 // ShardedSnapshot pins one generation per shard (in shard order) and is
 // itself a read-only TripleStore, so BGP evaluation, the plan cache
 // (whose stamp is the concatenation of the per-shard stamps) and
@@ -47,7 +46,6 @@
 #include "core/stats.h"
 #include "core/store_interface.h"
 #include "delta/delta_hexastore.h"
-#include "delta/merged_list.h"
 #include "util/status.h"
 #include "wal/durable_store.h"
 #include "wal/wal_writer.h"
@@ -62,8 +60,8 @@ struct ShardedOptions {
   /// is the TOTAL across shards; each shard gets an equal slice.
   DeltaOptions delta;
   /// True: every shard is a DurableDeltaHexastore under
-  /// `durability.dir/shard-NNN/`; `delta` is ignored (DurabilityOptions
-  /// carries the same knobs). False: plain in-memory shards.
+  /// `durability.dir/shard-NNN/`, built from `durability.delta`
+  /// (`delta` is ignored). False: plain in-memory shards.
   bool durable = false;
   DurabilityOptions durability;
 
@@ -100,19 +98,6 @@ class ShardedSnapshot final : public TripleStore {
   const DeltaHexastore::Snapshot& shard(std::size_t i) const {
     return shards_[i];
   }
-
-  // Merged accessor views over the pinned shard generations (same
-  // contracts as DeltaHexastore::Snapshot; scatter results are k-way
-  // merged so orders match the single-store views byte-for-byte).
-  MergedList objects(Id s, Id p) const;
-  MergedList predicates(Id s, Id o) const;
-  MergedList subjects(Id p, Id o) const;
-  IdVec predicates_of_subject(Id s) const;
-  IdVec objects_of_subject(Id s) const;
-  IdVec subjects_of_predicate(Id p) const;
-  IdVec objects_of_predicate(Id p) const;
-  IdVec subjects_of_object(Id o) const;
-  IdVec predicates_of_object(Id o) const;
 
  private:
   friend class ShardedHexastore;
@@ -186,18 +171,6 @@ class ShardedHexastore : public TripleStore {
   /// Wait-free: AcquireReadHandle() on each shard in shard order.
   ShardedSnapshot AcquireReadHandle() const;
 
-  // -- Merged accessor views (scatter-gather; see ShardedSnapshot) --------
-
-  MergedList objects(Id s, Id p) const;
-  MergedList predicates(Id s, Id o) const;
-  MergedList subjects(Id p, Id o) const;
-  IdVec predicates_of_subject(Id s) const;
-  IdVec objects_of_subject(Id s) const;
-  IdVec subjects_of_predicate(Id p) const;
-  IdVec objects_of_predicate(Id p) const;
-  IdVec subjects_of_object(Id o) const;
-  IdVec predicates_of_object(Id o) const;
-
   // -- Shard access --------------------------------------------------------
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -251,9 +224,6 @@ class ShardedHexastore : public TripleStore {
   void RegisterShardMeters();
   // Pushes per-shard sizes/staged-ops into the facade gauges.
   void RefreshShardGauges() const;
-  // Sorted-unique k-way union of one accessor across all shards.
-  template <typename Fn>
-  IdVec GatherUnion(Fn&& per_shard) const;
 
   // Cross-shard group-commit coordinator (durable kBatched mode).
   // Declared before the shards so it outlives their WalWriters.

@@ -113,7 +113,7 @@ TEST_F(CrashRecoveryTest, CleanReopenRecoversEverything) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kBatched;
-  options.compact_threshold = 1u << 20;  // no checkpoint: pure replay
+  options.delta.compact_threshold = 1u << 20;  // no checkpoint: pure replay
 
   DeltaHexastore oracle;
   {
@@ -145,7 +145,7 @@ TEST_F(CrashRecoveryTest, CheckpointTruncatesLogAndBoundsReplay) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 64;  // frequent compaction => checkpoints
+  options.delta.compact_threshold = 64;  // frequent compaction => checkpoints
 
   std::string expected;
   {
@@ -193,7 +193,7 @@ TEST_F(CrashRecoveryTest, TruncationAtAnyOffsetRecoversCommittedPrefix) {
   DurabilityOptions options;
   options.dir = Dir("golden");
   options.mode = DurabilityMode::kNone;  // simulated crash: file truncation
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -286,7 +286,7 @@ TEST_F(CrashRecoveryTest, RecoveredStoreStaysWritableAndReopenable) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -326,7 +326,7 @@ TEST_F(CrashRecoveryTest, RandomCorruptionYieldsPrefixOrCleanError) {
   DurabilityOptions options;
   options.dir = Dir("golden");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -414,8 +414,10 @@ TEST_F(CrashRecoveryTest, CorruptionInOlderSegmentFailsOpen) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;  // no checkpoint: segments pile up
-  options.segment_bytes = 128;           // force several rotations
+  // No checkpoint, so segments pile up; tiny segments force several
+  // rotations.
+  options.delta.compact_threshold = 1u << 20;
+  options.segment_bytes = 128;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -485,7 +487,7 @@ TEST_F(CrashRecoveryTest, ShardedCleanReopenRecoversEverything) {
   options.durable = true;
   options.durability.dir = Dir("sharded");
   options.durability.mode = DurabilityMode::kBatched;
-  options.durability.compact_threshold = 1u << 20;  // pure replay
+  options.durability.delta.compact_threshold = 1u << 20;  // pure replay
 
   std::string expected;
   {
@@ -524,7 +526,7 @@ TEST_F(CrashRecoveryTest, ShardedRandomCrashPointsRecoverPerShardPrefixes) {
   options.durable = true;
   options.durability.dir = Dir("sharded_golden");
   options.durability.mode = DurabilityMode::kNone;  // crash = truncation
-  options.durability.compact_threshold = 1u << 20;
+  options.durability.delta.compact_threshold = 1u << 20;
   {
     auto opened = ShardedHexastore::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

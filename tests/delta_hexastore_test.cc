@@ -1,7 +1,7 @@
 // Behavior tests of the DeltaHexastore: staging semantics, threshold
-// auto-compaction, snapshot isolation across compactions, merged accessor
-// views mid-delta, stats, and the snapshot file format. The §4.2 join
-// shapes over every level shape live in merge_join_test.
+// auto-compaction, snapshot isolation across compactions, terminal-list
+// and header scans mid-delta, stats, and the snapshot file format. The
+// §4.2 join shapes over every level shape live in merge_join_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "delta/delta_hexastore.h"
 #include "io/snapshot.h"
 #include "rdf/term.h"
+#include "store_projection.h"
 #include "util/rng.h"
 
 namespace hexastore {
@@ -165,58 +166,66 @@ TEST(DeltaHexastoreTest, ClearResetsEverythingIncludingStagedOps) {
   EXPECT_TRUE(store.CheckInvariants(&err)) << err;
 }
 
-TEST(DeltaHexastoreTest, MergedTerminalListsSeeStagedEdits) {
+TEST(DeltaHexastoreTest, TerminalListScansSeeStagedEdits) {
   DeltaHexastore store(/*compact_threshold=*/1024);
   store.BulkLoad({{1, 2, 3}, {1, 2, 5}, {1, 2, 7}});
   store.Erase({1, 2, 5});
   store.Insert({1, 2, 4});
   const IdVec expect{3, 4, 7};
-  EXPECT_EQ(store.objects(1, 2).Materialize(), expect);
-  EXPECT_EQ(store.objects(1, 2).size(), 3u);
+  EXPECT_EQ(Project(store, IdPattern{1, 2, 0}, &IdTriple::o), expect);
   // Terminal lists in the other two families.
-  EXPECT_EQ(store.predicates(1, 3).Materialize(), IdVec{2});
-  EXPECT_EQ(store.subjects(2, 4).Materialize(), IdVec{1});
-  EXPECT_EQ(store.subjects(2, 5).Materialize(), IdVec{});
+  EXPECT_EQ(Project(store, IdPattern{1, 0, 3}, &IdTriple::p), IdVec{2});
+  EXPECT_EQ(Project(store, IdPattern{0, 2, 4}, &IdTriple::s), IdVec{1});
+  EXPECT_EQ(Project(store, IdPattern{0, 2, 5}, &IdTriple::s), IdVec{});
 }
 
-TEST(DeltaHexastoreTest, MergedHeaderVectorsTrackPairLiveness) {
+TEST(DeltaHexastoreTest, HeaderScansTrackPairLiveness) {
   DeltaHexastore store(/*compact_threshold=*/1024);
   store.BulkLoad({{1, 2, 3}, {1, 4, 3}, {5, 2, 3}});
   // New subject header appears from a staged insert alone.
   store.Insert({6, 2, 9});
   // Erasing the only triple under (5, 2) must drop 5 from s(p=2).
   store.Erase({5, 2, 3});
-  EXPECT_EQ(store.subjects_of_predicate(2), (IdVec{1, 6}));
-  EXPECT_EQ(store.predicates_of_subject(1), (IdVec{2, 4}));
-  EXPECT_EQ(store.predicates_of_subject(6), IdVec{2});
-  EXPECT_EQ(store.objects_of_predicate(2), (IdVec{3, 9}));
-  EXPECT_EQ(store.subjects_of_object(3), IdVec{1});
-  EXPECT_EQ(store.predicates_of_object(9), IdVec{2});
-  EXPECT_EQ(store.objects_of_subject(5), IdVec{});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 2, 0}, &IdTriple::s),
+            (IdVec{1, 6}));
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{1, 0, 0}, &IdTriple::p),
+            (IdVec{2, 4}));
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{6, 0, 0}, &IdTriple::p),
+            IdVec{2});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 2, 0}, &IdTriple::o),
+            (IdVec{3, 9}));
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 0, 3}, &IdTriple::s),
+            IdVec{1});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 0, 9}, &IdTriple::p),
+            IdVec{2});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{5, 0, 0}, &IdTriple::o),
+            IdVec{});
   // A partial erase must NOT drop a header while sibling pairs survive:
   // (1,4,3) still links subject 1 and object 3 after (1,2,3) goes.
   store.Erase({1, 2, 3});
-  EXPECT_EQ(store.subjects_of_object(3), IdVec{1});
-  EXPECT_EQ(store.predicates_of_subject(1), IdVec{4});
-  EXPECT_EQ(store.predicates_of_object(3), IdVec{4});
-  EXPECT_EQ(store.subjects_of_predicate(2), IdVec{6});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 0, 3}, &IdTriple::s),
+            IdVec{1});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{1, 0, 0}, &IdTriple::p),
+            IdVec{4});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 0, 3}, &IdTriple::p),
+            IdVec{4});
+  EXPECT_EQ(ProjectDistinct(store, IdPattern{0, 2, 0}, &IdTriple::s),
+            IdVec{6});
 }
 
-TEST(DeltaHexastoreTest, MergedViewsStayValidAcrossCompaction) {
+TEST(DeltaHexastoreTest, SnapshotScansStayValidAcrossCompaction) {
   DeltaHexastore store(/*compact_threshold=*/1024);
   store.BulkLoad({{1, 2, 3}, {1, 2, 5}});
   store.Insert({1, 2, 4});
-  const MergedList view = store.objects(1, 2);
-  store.Compact();               // swaps in a rebuilt base (view pins old)
+  const DeltaHexastore::Snapshot snap = store.GetSnapshot();
+  store.Compact();               // swaps in a rebuilt base (snap pins old)
   store.Insert({1, 2, 9});       // mutates only the new generation
   const IdVec expect{3, 4, 5};
-  EXPECT_EQ(view.Materialize(), expect);
+  EXPECT_EQ(Project(snap, IdPattern{1, 2, 0}, &IdTriple::o), expect);
   const IdVec live_expect{3, 4, 5, 9};
-  EXPECT_EQ(store.objects(1, 2).Materialize(), live_expect);
+  EXPECT_EQ(Project(store, IdPattern{1, 2, 0}, &IdTriple::o), live_expect);
 }
 
-// Every merge-join overload must agree with the same join on a plain
-// Hexastore holding the compacted contents.
 TEST(DeltaHexastoreTest, StatsReportDeltaAndBase) {
   DeltaHexastore store(/*compact_threshold=*/100);
   store.BulkLoad({{1, 1, 1}, {2, 2, 2}, {3, 3, 3}});
@@ -507,8 +516,9 @@ TEST(LeveledDeltaTest, PatternTombstoneInL0SuppressesMatchesInL1) {
   EXPECT_FALSE(store.Contains({1001, 5, 1}));
   EXPECT_EQ(store.CountMatches(IdPattern{0, 5, 0}), 0u);
   EXPECT_EQ(store.EstimateMatches(IdPattern{0, 5, 0}), 0u);
-  EXPECT_TRUE(store.subjects_of_predicate(5).empty());
-  EXPECT_TRUE(store.objects(1001, 5).empty());
+  EXPECT_TRUE(ProjectDistinct(store, IdPattern{0, 5, 0}, &IdTriple::s)
+                  .empty());
+  EXPECT_TRUE(Project(store, IdPattern{1001, 5, 0}, &IdTriple::o).empty());
   EXPECT_EQ(store.size(), 404u);
   std::string err;
   ASSERT_TRUE(store.CheckInvariants(&err)) << err;

@@ -1,12 +1,11 @@
-// Unit tests of the delta staging buffer and the merging iterator: op
-// staging/cancellation rules, the disjoint/subset side-list invariants,
-// and MergedListCursor's sorted union-minus-tombstones walk.
+// Unit tests of the delta staging buffer: op staging/cancellation rules
+// and the bound-prefix scans of its sorted insert runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "delta/delta_store.h"
-#include "delta/merged_list.h"
 
 namespace hexastore {
 namespace {
@@ -49,7 +48,7 @@ TEST(DeltaStoreTest, EraseCancelsStagedInsert) {
   EXPECT_TRUE(delta.StageErase({1, 2, 3}, false));
   EXPECT_TRUE(delta.empty());
   EXPECT_EQ(delta.Lookup({1, 2, 3}), DeltaStore::Presence::kUnknown);
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 1, 2), nullptr);
+  EXPECT_EQ(delta.CountInserts(IdPattern{1, 2, 0}), 0u);
 }
 
 TEST(DeltaStoreTest, ReinsertCancelsTombstone) {
@@ -60,22 +59,26 @@ TEST(DeltaStoreTest, ReinsertCancelsTombstone) {
   EXPECT_EQ(delta.Lookup({1, 2, 3}), DeltaStore::Presence::kUnknown);
 }
 
-TEST(DeltaStoreTest, SideListsMirrorAllThreeFamilies) {
+// Every bound-prefix shape reaches the staged inserts through one of
+// the three sorted runs; tombstones never show up in an insert scan.
+TEST(DeltaStoreTest, ScanInsertsServesEveryBoundPrefix) {
   DeltaStore delta;
   ASSERT_TRUE(delta.StageInsert({7, 8, 9}, false));
-  const DeltaList* objects = delta.FindLists(ListFamily::kObjects, 7, 8);
-  const DeltaList* predicates =
-      delta.FindLists(ListFamily::kPredicates, 7, 9);
-  const DeltaList* subjects = delta.FindLists(ListFamily::kSubjects, 8, 9);
-  ASSERT_NE(objects, nullptr);
-  ASSERT_NE(predicates, nullptr);
-  ASSERT_NE(subjects, nullptr);
-  EXPECT_EQ(objects->adds, IdVec{9});
-  EXPECT_EQ(predicates->adds, IdVec{8});
-  EXPECT_EQ(subjects->adds, IdVec{7});
+  ASSERT_TRUE(delta.StageInsert({7, 8, 4}, false));
+  ASSERT_TRUE(delta.StageInsert({5, 8, 9}, false));
   ASSERT_TRUE(delta.StageErase({7, 8, 1}, /*base_present=*/true));
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 7, 8)->removes,
-            IdVec{1});
+  auto scan = [&delta](const IdPattern& q) {
+    IdTripleVec out;
+    delta.ScanInserts(q, [&out](const IdTriple& t) { out.push_back(t); });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(scan(IdPattern{7, 8, 0}), (IdTripleVec{{7, 8, 4}, {7, 8, 9}}));
+  EXPECT_EQ(scan(IdPattern{7, 0, 9}), (IdTripleVec{{7, 8, 9}}));
+  EXPECT_EQ(scan(IdPattern{0, 8, 9}), (IdTripleVec{{5, 8, 9}, {7, 8, 9}}));
+  EXPECT_EQ(scan(IdPattern{0, 0, 9}), (IdTripleVec{{5, 8, 9}, {7, 8, 9}}));
+  EXPECT_EQ(scan(IdPattern{7, 8, 1}), IdTripleVec{});
+  EXPECT_EQ(delta.CountInserts(IdPattern{}), 3u);
 }
 
 TEST(DeltaStoreTest, SortedInsertsAndTombstonesAreSorted) {
@@ -101,7 +104,7 @@ TEST(DeltaStoreTest, ClearDropsEverything) {
   EXPECT_TRUE(delta.empty());
   EXPECT_EQ(delta.insert_count(), 0u);
   EXPECT_EQ(delta.tombstone_count(), 0u);
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 1, 2), nullptr);
+  EXPECT_EQ(delta.CountInserts(IdPattern{1, 2, 0}), 0u);
 }
 
 TEST(DeltaStoreTest, CopyIsIndependent) {
@@ -112,66 +115,6 @@ TEST(DeltaStoreTest, CopyIsIndependent) {
   EXPECT_EQ(delta.op_count(), 1u);
   EXPECT_EQ(copy.op_count(), 2u);
   EXPECT_EQ(delta.Lookup({4, 5, 6}), DeltaStore::Presence::kUnknown);
-}
-
-// -- MergedListCursor -----------------------------------------------------
-
-IdVec Walk(const IdVec* base, const IdVec* adds, const IdVec* removes) {
-  IdVec out;
-  for (MergedListCursor c(base, adds, removes); !c.done(); c.next()) {
-    out.push_back(c.value());
-  }
-  return out;
-}
-
-TEST(MergedListCursorTest, AllInputsNull) {
-  EXPECT_EQ(Walk(nullptr, nullptr, nullptr), IdVec{});
-}
-
-TEST(MergedListCursorTest, BaseOnly) {
-  const IdVec base{1, 3, 5};
-  EXPECT_EQ(Walk(&base, nullptr, nullptr), base);
-}
-
-TEST(MergedListCursorTest, AddsInterleaveWithBase) {
-  const IdVec base{2, 5, 9};
-  const IdVec adds{1, 4, 10};
-  const IdVec expect{1, 2, 4, 5, 9, 10};
-  EXPECT_EQ(Walk(&base, &adds, nullptr), expect);
-}
-
-TEST(MergedListCursorTest, RemovesDropBaseElements) {
-  const IdVec base{1, 2, 3, 4, 5};
-  const IdVec removes{1, 3, 5};
-  const IdVec expect{2, 4};
-  EXPECT_EQ(Walk(&base, nullptr, &removes), expect);
-}
-
-TEST(MergedListCursorTest, AddsAndRemovesTogether) {
-  const IdVec base{2, 4, 6, 8};
-  const IdVec adds{1, 5, 9};
-  const IdVec removes{4, 8};
-  const IdVec expect{1, 2, 5, 6, 9};
-  EXPECT_EQ(Walk(&base, &adds, &removes), expect);
-}
-
-TEST(MergedListCursorTest, EverythingRemoved) {
-  const IdVec base{1, 2};
-  const IdVec removes{1, 2};
-  EXPECT_EQ(Walk(&base, nullptr, &removes), IdVec{});
-}
-
-TEST(MergedListCursorTest, IntersectCursorsMatchesVectorIntersect) {
-  const IdVec a_base{1, 3, 5, 7};
-  const IdVec a_adds{2, 9};
-  const IdVec a_removes{5};
-  const IdVec b_base{2, 3, 9, 11};
-  // merged a = {1,2,3,7,9}, merged b = {2,3,9,11} -> {2,3,9}
-  const IdVec expect{2, 3, 9};
-  EXPECT_EQ(
-      IntersectCursors(MergedListCursor(&a_base, &a_adds, &a_removes),
-                       MergedListCursor(&b_base, nullptr, nullptr)),
-      expect);
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "query/planner.h"
 #include "query/result_json.h"
 #include "query/session.h"
+#include "store_projection.h"
 #include "util/rng.h"
 #include "wal/durable_store.h"
 
@@ -617,8 +618,10 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
           joined.push_back(row[0]);
         }
         SortUnique(&joined);
-        const IdVec left = snap.subjects_of_object(7);
-        const IdVec right = snap.subjects_of_object(9);
+        const IdVec left =
+            ProjectDistinct(snap, IdPattern{0, 0, 7}, &IdTriple::s);
+        const IdVec right =
+            ProjectDistinct(snap, IdPattern{0, 0, 9}, &IdTriple::s);
         IdVec expect;
         for (Id s : left) {
           if (SortedContains(right, s)) {
@@ -878,13 +881,13 @@ TEST(EpochStressTest, HandlesSurviveCheckpointsAndRecovery) {
   // Each checkpoint pays several fsyncs; a mid-size threshold keeps the
   // test to a handful of compaction-triggered checkpoints plus the two
   // explicit ones below.
-  options.compact_threshold = 512;
-  options.background_compaction = true;
+  options.delta.compact_threshold = 512;
+  options.delta.background_compaction = true;
   options.background_checkpoints = true;
   // Leveled inner store: checkpoints ride fold and base merges alike,
   // and recovery must replay into the same leveled configuration.
-  options.l0_run_limit = 2;
-  options.l1_base_fraction = 0.1;
+  options.delta.l0_run_limit = 2;
+  options.delta.l1_base_fraction = 0.1;
 
   std::set<IdTriple> oracle;
   {
@@ -1175,8 +1178,8 @@ TEST(EpochStressTest, ShardedWritersGroupCommitsAndCheckpointsRecover) {
   options.durability.dir = dir.string();
   options.durability.mode = DurabilityMode::kBatched;
   options.durability.batch_bytes = 256;  // frequent group sweeps
-  options.durability.compact_threshold = 512;
-  options.durability.background_compaction = true;
+  options.durability.delta.compact_threshold = 512;
+  options.durability.delta.background_compaction = true;
 
   std::vector<std::set<IdTriple>> oracles(kWriters);
   {

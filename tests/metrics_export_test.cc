@@ -170,8 +170,8 @@ TEST(MetricsExportTest, DurableChurnAndEnvDump) {
 
   DurabilityOptions options;
   options.dir = dir;
-  options.compact_threshold = 64;
-  options.l0_run_limit = 2;
+  options.delta.compact_threshold = 64;
+  options.delta.l0_run_limit = 2;
   ::setenv("HEXA_METRICS_JSON", dump_path.c_str(), 1);
   {
     auto opened = DurableDeltaHexastore::Open(options);

@@ -1,7 +1,7 @@
 // Sharded-vs-single oracle: a ShardedHexastore at shard counts
 // {1, 2, 4, 7} must stay byte-identical to one DeltaHexastore over the
 // same ops — contents, Match results, ErasePattern counts, snapshot
-// views, merged accessor orders, and EstimateMatches where the facade
+// views, bound-prefix scans, and EstimateMatches where the facade
 // contract promises exactness (fully-bound patterns; any pattern after
 // Compact). Also pins the predicate-only ErasePattern fan-out count
 // (the facade must SUM per-shard counts, never double-count) including
@@ -16,6 +16,7 @@
 
 #include "delta/delta_hexastore.h"
 #include "shard/sharded_hexastore.h"
+#include "store_projection.h"
 #include "util/rng.h"
 
 namespace hexastore {
@@ -129,7 +130,7 @@ TEST_P(ShardedOracleTest, ChurnStaysByteIdentical) {
   EXPECT_EQ(sharded.Match(IdPattern{}), single.Match(IdPattern{}));
 }
 
-TEST_P(ShardedOracleTest, SnapshotAndAccessorViewsAgree) {
+TEST_P(ShardedOracleTest, SnapshotAndPrefixScansAgree) {
   const std::size_t shards = GetParam();
   ShardedOptions opts;
   opts.shards = shards;
@@ -155,37 +156,37 @@ TEST_P(ShardedOracleTest, SnapshotAndAccessorViewsAgree) {
   EXPECT_EQ(snap.StampVector().size(), shards * 2);
   EXPECT_EQ(snap.size(), oracle.size());
 
-  // Snapshot pattern answers and both stores' merged accessor views:
-  // scatter results must reproduce the single store's sorted orders
-  // byte-for-byte (subject lists are disjoint unions; object/predicate
-  // lists are sorted-unique merges).
+  // Every terminal list and header vector, read back as a bound-prefix
+  // scan from the snapshots and from both live stores: routed reads
+  // (bound subject) hit one shard, scatter reads concatenate all of
+  // them, and Match sorts either way, so the projections agree exactly.
+  auto expect_same = [&](const IdPattern& q, Id IdTriple::*role) {
+    EXPECT_EQ(ProjectDistinct(snap, q, role), ProjectDistinct(oracle, q, role))
+        << "snapshot s=" << q.s << " p=" << q.p << " o=" << q.o;
+    EXPECT_EQ(ProjectDistinct(sharded, q, role),
+              ProjectDistinct(single, q, role))
+        << "live s=" << q.s << " p=" << q.p << " o=" << q.o;
+  };
   for (Id s = 1; s <= 16; ++s) {
-    EXPECT_EQ(snap.predicates_of_subject(s), oracle.predicates_of_subject(s));
-    EXPECT_EQ(snap.objects_of_subject(s), oracle.objects_of_subject(s));
-    EXPECT_EQ(sharded.predicates_of_subject(s),
-              single.predicates_of_subject(s));
-    EXPECT_EQ(sharded.objects_of_subject(s), single.objects_of_subject(s));
-    EXPECT_EQ(sharded.subjects_of_object(s), single.subjects_of_object(s));
-    EXPECT_EQ(snap.subjects_of_object(s), oracle.subjects_of_object(s));
+    expect_same(IdPattern{s, 0, 0}, &IdTriple::p);
+    expect_same(IdPattern{s, 0, 0}, &IdTriple::o);
+    expect_same(IdPattern{0, 0, s}, &IdTriple::s);
+    expect_same(IdPattern{0, 0, s}, &IdTriple::p);
   }
   for (Id p = 1; p <= 8; ++p) {
-    EXPECT_EQ(snap.subjects_of_predicate(p), oracle.subjects_of_predicate(p));
-    EXPECT_EQ(snap.objects_of_predicate(p), oracle.objects_of_predicate(p));
-    EXPECT_EQ(sharded.subjects_of_predicate(p),
-              single.subjects_of_predicate(p));
-    EXPECT_EQ(sharded.objects_of_predicate(p), single.objects_of_predicate(p));
-    EXPECT_EQ(sharded.predicates_of_object(p), single.predicates_of_object(p));
+    expect_same(IdPattern{0, p, 0}, &IdTriple::s);
+    expect_same(IdPattern{0, p, 0}, &IdTriple::o);
   }
   for (Id s = 1; s <= 16; ++s) {
     for (Id p = 1; p <= 8; ++p) {
-      EXPECT_EQ(snap.objects(s, p).Materialize(),
-                oracle.objects(s, p).Materialize());
-      EXPECT_EQ(sharded.objects(s, p).Materialize(),
-                single.objects(s, p).Materialize());
-      EXPECT_EQ(snap.subjects(p, s).Materialize(),
-                oracle.subjects(p, s).Materialize());
-      EXPECT_EQ(sharded.subjects(p, s).Materialize(),
-                single.subjects(p, s).Materialize());
+      EXPECT_EQ(Project(snap, IdPattern{s, p, 0}, &IdTriple::o),
+                Project(oracle, IdPattern{s, p, 0}, &IdTriple::o));
+      EXPECT_EQ(Project(sharded, IdPattern{s, p, 0}, &IdTriple::o),
+                Project(single, IdPattern{s, p, 0}, &IdTriple::o));
+      EXPECT_EQ(Project(snap, IdPattern{0, p, s}, &IdTriple::s),
+                Project(oracle, IdPattern{0, p, s}, &IdTriple::s));
+      EXPECT_EQ(Project(sharded, IdPattern{0, p, s}, &IdTriple::s),
+                Project(single, IdPattern{0, p, s}, &IdTriple::s));
     }
   }
   for (int probe = 0; probe < 80; ++probe) {

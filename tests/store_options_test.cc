@@ -57,9 +57,9 @@ TEST_F(StoreOptionsTest, StoreShapeKnobsReachDeltaAndDurability) {
   EXPECT_EQ(options.delta.l0_run_limit, 3u);
   // The same shape applies to the durable configuration: one store
   // geometry regardless of whether the WAL wrapper is in front.
-  EXPECT_EQ(options.durability.compact_threshold, 123u);
-  EXPECT_TRUE(options.durability.background_compaction);
-  EXPECT_EQ(options.durability.l0_run_limit, 3u);
+  EXPECT_EQ(options.durability.delta.compact_threshold, 123u);
+  EXPECT_TRUE(options.durability.delta.background_compaction);
+  EXPECT_EQ(options.durability.delta.l0_run_limit, 3u);
 }
 
 TEST_F(StoreOptionsTest, ShardsKnob) {
@@ -114,6 +114,29 @@ TEST_F(StoreOptionsTest, UnparsableValueKeepsDefaultAndNotes) {
   StoreOptions options = StoreOptions::FromEnv(&notes);
   EXPECT_EQ(options.server.threads, 4u);
   EXPECT_NE(notes.find("HEXA_SERVER_THREADS"), std::string::npos) << notes;
+}
+
+// Counts are digits only: a sign, surrounding whitespace or a value past
+// 2^64 - 1 keeps the default and leaves a note, instead of wrapping to a
+// huge thread count or an unbounded queue. Reads the environment only;
+// no server is started.
+TEST_F(StoreOptionsTest, SignedSpacedOrOverflowingCountsKeepDefault) {
+  const ServerOptions defaults;
+  for (const char* name : {"HEXA_SERVER_THREADS", "HEXA_SERVER_QUEUE"}) {
+    for (const char* value :
+         {"-1", "+8", " 8", "8 ", "18446744073709551616"}) {
+      ::setenv(name, value, 1);
+      std::string notes;
+      const StoreOptions options = StoreOptions::FromEnv(&notes);
+      EXPECT_EQ(options.server.threads, defaults.threads)
+          << name << "=\"" << value << "\"";
+      EXPECT_EQ(options.server.queue_depth, defaults.queue_depth)
+          << name << "=\"" << value << "\"";
+      EXPECT_NE(notes.find(name), std::string::npos)
+          << name << "=\"" << value << "\": " << notes;
+      ::unsetenv(name);
+    }
+  }
 }
 
 TEST_F(StoreOptionsTest, NormalizeRepairsInvalidServerOptions) {

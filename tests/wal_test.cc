@@ -248,6 +248,22 @@ TEST_F(WalTest, DurabilityModesDriveFsyncCadence) {
   }
 }
 
+// DurabilityOptions::delta reaches the inner store whole, including the
+// fields that only the in-memory store reads (the trace ring size).
+TEST_F(WalTest, DurableStoreKeepsEveryDeltaOption) {
+  DurabilityOptions options;
+  options.dir = dir_;
+  options.delta.l0_run_limit = 3;
+  options.delta.filter_bits_per_key = 6;
+  options.delta.trace_capacity = 16;
+  auto opened = DurableDeltaHexastore::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DeltaHexastore& inner = opened.value()->delta();
+  EXPECT_EQ(inner.l0_run_limit(), 3u);
+  EXPECT_EQ(inner.filter_bits_per_key(), 6u);
+  EXPECT_EQ(inner.trace_ring().capacity(), 16u);
+}
+
 TEST_F(WalTest, GroupCommitSharesFsyncsAcrossThreads) {
   DurabilityOptions options;
   options.dir = dir_;
